@@ -389,12 +389,6 @@ def _enforce_energy(s: np.ndarray, F, E, ground_proj) -> np.ndarray:
     return (1.0 - t) * s + t * ground_proj
 
 
-def _er_value(s: np.ndarray, M: FinitePOVM) -> float:
-    probs, ents = hybrid.posterior_entropies(s, M)
-    w = qmat.herm_eig(s).eigenvalues
-    return entropy_of_spectrum(np.maximum(w, 0.0)) - float(np.sum(probs * ents))
-
-
 def ea_capacity(
     M: FinitePOVM, constraint: EnergyConstraint | None = None,
     cfg: OptimizerConfig = OptimizerConfig(),
@@ -437,7 +431,7 @@ def ea_capacity(
         rng = np.random.default_rng([cfg.seed, 1, r])
         params = rng.standard_normal(n_par)
         s = _enforce_energy(_state_from_params(params, d), F_arr, E, ground_proj)
-        value = _er_value(s, M)
+        value = hybrid._er_value(s, M)
         step = cfg.step_schedule.initial
         converged = False
         for it in range(cfg.max_iterations):
@@ -450,7 +444,7 @@ def ea_capacity(
                     sc = _enforce_energy(
                         _state_from_params(cand, d), F_arr, E, ground_proj
                     )
-                    v = _er_value(sc, M)
+                    v = hybrid._er_value(sc, M)
                     if v > value + 1e-14:
                         params, value, s = cand, v, sc
                         improved = True

@@ -172,6 +172,8 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
     """
     if R <= 0.0:
         raise ValueError("rate R must be positive")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     member_rows = np.stack([outcome_probs(s.matrix, M) for s in ensemble.states])
     member_rows[member_rows < 0.0] = 0.0
     member_rows /= member_rows.sum(axis=1, keepdims=True)

@@ -14,7 +14,7 @@ class NonHermitianInput(HybridcapError):
 
 
 class NoConvergence(HybridcapError):
-    """The Jacobi eigensolver exhausted its sweep budget."""
+    """LAPACK failed to converge on an eigendecomposition."""
 
 
 class NegativeEigenvalue(HybridcapError):

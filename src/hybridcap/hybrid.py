@@ -16,7 +16,6 @@ from . import qmat
 from .errors import (
     DimensionMismatch,
     LabelMismatch,
-    NegativeEigenvalue,
     ZeroProbabilityOutcome,
 )
 
@@ -39,14 +38,15 @@ class DensityOperator:
 
     def __post_init__(self):
         m = qmat.as_complex_matrix(self.matrix)
-        if not qmat.validate_hermitian(m, 1e-8):
-            raise qmat.NonHermitianInput("density operator is not Hermitian within 1e-8")
         tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > 1e-9:
+        # a non-Hermitian matrix is reported as such before its trace
+        if abs(tr - 1.0) > 1e-9 and qmat.validate_hermitian(m, 1e-8):
             raise ValueError(f"trace {tr} deviates from 1 by more than 1e-9")
-        w = qmat.herm_eig(m).eigenvalues
-        if np.min(w) < qmat.PSD_FLOOR:
-            raise NegativeEigenvalue(f"state eigenvalue {np.min(w):.3e} below -1e-9")
+        qmat.check_psd_stack(
+            m[None],
+            "density operator is not Hermitian within 1e-8",
+            "state eigenvalue {w:.3e} below -1e-9",
+        )
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -68,14 +68,12 @@ class FinitePOVM:
         labels = tuple(str(x) for x in self.labels)
         if len(labels) != elems.shape[0]:
             raise ValueError("label count does not match element count")
-        for k, e in enumerate(elems):
-            if not qmat.validate_hermitian(e, 1e-8):
-                raise qmat.NonHermitianInput(f"POVM element {labels[k]} is not Hermitian")
-            w = qmat.herm_eig(e).eigenvalues
-            if np.min(w) < qmat.PSD_FLOOR:
-                raise NegativeEigenvalue(
-                    f"POVM element {labels[k]} eigenvalue {np.min(w):.3e} below -1e-9"
-                )
+        qmat.check_psd_stack(
+            elems,
+            "POVM element {label} is not Hermitian",
+            "POVM element {label} eigenvalue {w:.3e} below -1e-9",
+            labels,
+        )
         dev = np.max(np.abs(elems.sum(axis=0) - np.eye(elems.shape[1])))
         if dev > 1e-8:
             raise ValueError(f"povm completeness deviation {dev:.1e} > 1e-8")
@@ -102,15 +100,21 @@ class FinitePOVM:
         Computed once per POVM and cached; every posterior-state evaluation
         reuses them.
         """
+        return self._kernel_cache()[1]
+
+    def _kernel_cache(self) -> tuple:
+        """(K, kernels()): K is the (m, d, d) stack of the kernels, each
+        zero-padded back to d columns where its eigenvalues were dropped.
+
+        Built from one batched eigendecomposition of the element stack.
+        """
         cached = getattr(self, "_kernels", None)
         if cached is None:
-            cached = []
-            for elem in self.elements:
-                eig = qmat.herm_eig(elem)
-                keep = eig.eigenvalues > _EIG_EPS
-                mu = eig.eigenvalues[keep]
-                cached.append(eig.eigenvectors[:, keep] * np.sqrt(mu))
-            cached = tuple(cached)
+            e = self.elements
+            w, V = np.linalg.eigh((e + e.conj().transpose(0, 2, 1)) / 2.0)
+            keep = w > _EIG_EPS
+            K = V * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
+            cached = (K, tuple(Kk[:, kk] for Kk, kk in zip(K, keep)))
             object.__setattr__(self, "_kernels", cached)
         return cached
 
@@ -145,14 +149,19 @@ class HybridState:
         blocks = tuple(qmat.as_complex_matrix(b) for b in self.blocks)
         if len(labels) != len(blocks):
             raise ValueError("label count does not match block count")
-        total = 0.0
-        for lab, b in zip(labels, blocks):
-            if not qmat.validate_hermitian(b, 1e-8):
-                raise qmat.NonHermitianInput(f"block {lab} is not Hermitian")
-            w = qmat.herm_eig(b).eigenvalues
-            if np.min(w) < qmat.PSD_FLOOR:
-                raise NegativeEigenvalue(f"block {lab} eigenvalue below -1e-9")
-            total += float(np.real(np.trace(b)))
+        if blocks:
+            # blocks may differ in dimension: zero padding adds zero eigenvalues
+            d = max(len(b) for b in blocks)
+            stack = np.zeros((len(blocks), d, d), dtype=np.complex128)
+            for k, b in enumerate(blocks):
+                stack[k, : len(b), : len(b)] = b
+            qmat.check_psd_stack(
+                stack,
+                "block {label} is not Hermitian",
+                "block {label} eigenvalue below -1e-9",
+                labels,
+            )
+        total = sum((float(np.real(np.trace(b))) for b in blocks), 0.0)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"total trace {total} deviates from 1")
         object.__setattr__(self, "labels", labels)
@@ -198,11 +207,11 @@ class EnergyConstraint:
 
     def __post_init__(self):
         f = qmat.as_complex_matrix(self.F)
-        if not qmat.validate_hermitian(f, 1e-8):
-            raise qmat.NonHermitianInput("constraint operator F is not Hermitian")
-        w = qmat.herm_eig(f).eigenvalues
-        if np.min(w) < qmat.PSD_FLOOR:
-            raise NegativeEigenvalue("constraint operator F has eigenvalue below -1e-9")
+        qmat.check_psd_stack(
+            f[None],
+            "constraint operator F is not Hermitian",
+            "constraint operator F has eigenvalue below -1e-9",
+        )
         if self.E < 0.0:
             raise ValueError("energy bound E must be >= 0")
         object.__setattr__(self, "F", f)
@@ -368,25 +377,44 @@ def chi_cq(weights, states) -> float:
     return max(val, 0.0)
 
 
+def _posterior_grams(smatrix: np.ndarray, M: FinitePOVM):
+    """(p(ω), (m, d, d) stack of K_ω† S K_ω / p(ω)) over the padded kernels.
+
+    Each matrix has the spectrum of the posterior state plus zeros from
+    the padding; a zero-probability outcome (p <= 1e-12) gets the zero
+    matrix.
+    """
+    probs = outcome_probs(smatrix, M)
+    K = M._kernel_cache()[0]
+    scale = np.divide(1.0, probs, out=np.zeros_like(probs), where=probs > _EIG_EPS)
+    grams = K.conj().transpose(0, 2, 1) @ smatrix @ K
+    return probs, grams * scale[:, None, None]
+
+
+def _spectrum_entropies(w: np.ndarray) -> np.ndarray:
+    """entropy_of_spectrum of each row of a stack of spectra."""
+    return np.maximum(-np.sum(_xlog2x(w), axis=-1), 0.0)
+
+
 def posterior_entropies(smatrix: np.ndarray, M: FinitePOVM):
     """(p(ω), H_q(posterior ω)) pairs; zero-probability outcomes carry H = 0."""
-    probs = outcome_probs(smatrix, M)
-    ents = np.zeros(M.size)
-    kernels = M.kernels()
-    for k in range(M.size):
-        if probs[k] > _EIG_EPS:
-            A = kernels[k]
-            G = (A.conj().T @ smatrix @ A) / probs[k]
-            w = qmat.herm_eig(G).eigenvalues
-            ents[k] = entropy_of_spectrum(np.maximum(w, 0.0))
-    return probs, ents
+    probs, grams = _posterior_grams(smatrix, M)
+    return probs, _spectrum_entropies(np.linalg.eigvalsh(grams))
+
+
+def _er_value(smatrix: np.ndarray, M: FinitePOVM) -> float:
+    """ER of a density matrix: one eigvalsh over the m posteriors and S."""
+    probs, grams = _posterior_grams(smatrix, M)
+    ents = _spectrum_entropies(
+        np.linalg.eigvalsh(np.concatenate([grams, smatrix[None]]))
+    )
+    return float(ents[-1]) - float(np.sum(probs * ents[:-1]))
 
 
 def entropy_reduction(S: DensityOperator, M: FinitePOVM) -> float:
     """ER(S, M) = H_q(S) - Σ_ω p(ω) H_q(Ŝ(ω)) in bits."""
     _check_dims(S.dim, M.dim)
-    probs, ents = posterior_entropies(S.matrix, M)
-    return vn_entropy(S) - float(np.sum(probs * ents))
+    return _er_value(S.matrix, M)
 
 
 def average_state(pi: Ensemble) -> DensityOperator:

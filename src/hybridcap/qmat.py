@@ -1,10 +1,11 @@
 """Dense complex Hermitian linear algebra kernel.
 
-Everything downstream (states, POVMs, entropies, optimizers) funnels its
-spectral computations through :func:`herm_eig`, a cyclic Jacobi sweep for
-Hermitian matrices.  Dimensions in this library are small (<= ~128), so a
-simple deterministic solver beats pulling in a tuned LAPACK path: two calls
-on bit-identical input give bit-identical output.
+Spectral computations use NumPy's LAPACK routines: :func:`herm_eig` wraps
+``numpy.linalg.eigh`` for single matrices with the library's Hermitian
+check and error types, and :func:`check_psd_stack` validates a whole stack
+of matrices with one batched ``eigvalsh``.  The entropy paths in
+:mod:`hybridcap.hybrid` call ``eigvalsh`` on stacks of posterior matrices
+directly.  Two calls on bit-identical input give bit-identical output.
 
 Complex entries are numpy ``complex128``, i.e. explicit (re, im) pairs of
 IEEE-754 doubles.
@@ -21,9 +22,6 @@ from .errors import NegativeEigenvalue, NoConvergence, NonHermitianInput
 # Uniform PSD tolerance policy: eigenvalues in [PSD_FLOOR, 0] are clamped
 # to zero, anything below PSD_FLOOR is an error.
 PSD_FLOOR = -1e-9
-
-_MAX_SWEEPS = 100
-_OFFDIAG_STOP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,68 +47,44 @@ def validate_hermitian(a, tol: float) -> bool:
 
 
 def herm_eig(a) -> HermEigResult:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi sweeps.
+    """Diagonalize a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     Eigenvalues are returned ascending; column k of the eigenvector matrix
     belongs to eigenvalue k.  Raises NonHermitianInput if the input is not
-    Hermitian within 1e-8, NoConvergence if the off-diagonal mass has not
-    dropped below 1e-12 * ||A||_F after 100 sweeps.
+    Hermitian within 1e-8, NoConvergence if LAPACK reports that the
+    decomposition failed to converge.
     """
     m = as_complex_matrix(a)
     if not validate_hermitian(m, 1e-8):
         raise NonHermitianInput("matrix deviates from A† by more than 1e-8")
-
-    d = m.shape[0]
-    A = (m + m.conj().T) / 2.0
-    V = np.eye(d, dtype=np.complex128)
-    scale = float(np.linalg.norm(A))
-    if scale == 0.0 or d == 1:
-        w = np.real(np.diag(A)).copy()
-        return HermEigResult(w, V)
-
-    converged = False
-    for _ in range(_MAX_SWEEPS):
-        off = _offdiag_norm(A)
-        if off < _OFFDIAG_STOP * scale:
-            converged = True
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                mag = abs(apq)
-                if mag < 1e-18 * scale:
-                    continue
-                phase = apq / mag
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * mag)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Unitary U: U[p,p]=c, U[p,q]=s, U[q,p]=-conj(phase)s, U[q,q]=conj(phase)c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - (phase * s) * rq
-                A[q, :] = s * rp + (phase * c) * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - (np.conj(phase) * s) * cq
-                A[:, q] = s * cp + (np.conj(phase) * c) * cq
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - (np.conj(phase) * s) * vq
-                V[:, q] = s * vp + (np.conj(phase) * c) * vq
-    else:
-        converged = _offdiag_norm(A) < _OFFDIAG_STOP * scale
-    if not converged:
-        raise NoConvergence(f"Jacobi sweeps exceeded {_MAX_SWEEPS}")
-
-    w = np.real(np.diag(A))
-    order = np.argsort(w, kind="stable")
-    return HermEigResult(w[order].copy(), V[:, order].copy())
+    try:
+        w, V = np.linalg.eigh((m + m.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigh failed: {exc}") from exc
+    return HermEigResult(w, V)
 
 
-def _offdiag_norm(A: np.ndarray) -> float:
-    off = A - np.diag(np.diag(A))
-    return float(np.linalg.norm(off))
+def check_psd_stack(stack, not_hermitian: str, negative: str, labels=("",)) -> None:
+    """Validate a (k, d, d) stack of matrices expected Hermitian PSD.
+
+    Each matrix must be Hermitian within 1e-8 and then have no eigenvalue
+    below PSD_FLOOR; one batched ``eigvalsh`` covers the stack.  The first
+    failing matrix raises NonHermitianInput(``not_hermitian``) or
+    NegativeEigenvalue(``negative``), formatted with its ``label`` (entry of
+    ``labels``) and least eigenvalue ``w``.
+    """
+    stack = np.asarray(stack, dtype=np.complex128)
+    adj = stack.conj().transpose(0, 2, 1)
+    hermitian = np.max(np.abs(stack - adj), axis=(1, 2)) <= 1e-8
+    # non-Hermitian (or NaN) matrices are zeroed so LAPACK sees finite input
+    sym = np.where(hermitian[:, None, None], (stack + adj) / 2.0, 0.0)
+    w = np.linalg.eigvalsh(sym)[:, 0]
+    fault = np.flatnonzero(~hermitian | (w < PSD_FLOOR))
+    if fault.size:
+        k = fault[0]
+        if not hermitian[k]:
+            raise NonHermitianInput(not_hermitian.format(label=labels[k]))
+        raise NegativeEigenvalue(negative.format(label=labels[k], w=w[k]))
 
 
 def clamp_psd_eigenvalues(w: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Shared fixtures and random-instance generators for the test suite.
 
-np.linalg is used here (and only here) as an eigensolver independent of the
-library's own Jacobi kernel, so spectrum-level checks are genuinely
-dual-route.
+The library and these tests both get their spectra from NumPy's LAPACK
+routines.  Spectrum-level checks stay independent through separate code
+paths (explicit posterior matrices against the batched kernel stack, the
+square-root route against the kernel route) and through the hand-computed
+values pinned in the tests.
 """
 
 import numpy as np

@@ -164,6 +164,13 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "rate R = 0.500000 bits/use" in out and "n =   2" in out
 
+    def test_code_sim_zero_trials_exit_2(self, full_file, capsys):
+        assert main([
+            "code-sim", full_file, "--rate", "0.5", "--nlist", "4",
+            "--trials", "0",
+        ]) == 2
+        assert "trials" in capsys.readouterr().err
+
 
 class TestOpticsCurves:
     def test_stdout_table(self, capsys):

@@ -158,3 +158,8 @@ class TestRateExperiment:
         e = res.entries[0]
         floor = 1.0 - 1.0 / R - 1.0 / (n * R) - 3 * e["half_width"]
         assert e["error"] >= floor
+
+    def test_zero_trials_rejected(self):
+        ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
+        with pytest.raises(ValueError, match="trials"):
+            rate_experiment(z_povm(), ens, 0.5, [4], trials=0, seed=0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    _complete,
     bsc_povm,
     ket,
     random_density,
@@ -37,8 +38,11 @@ from hybridcap import (
 from hybridcap.errors import (
     DimensionMismatch,
     LabelMismatch,
+    NegativeEigenvalue,
+    NonHermitianInput,
     ZeroProbabilityOutcome,
 )
+from hybridcap.hybrid import posterior_entropies
 
 H2_QUARTER = 0.8112781244591328  # binary entropy of 1/4
 
@@ -335,6 +339,91 @@ class TestEntropyReduction:
         assert mutual_information(ens, M) <= (
             entropy_reduction(average_state(ens), M) + 1e-9
         )
+
+
+def povm_with_ranks(rng, d, ranks):
+    mats = []
+    for r in ranks:
+        g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+        mats.append(g @ g.conj().T)
+    return FinitePOVM.from_pairs(
+        [(str(k), A) for k, A in enumerate(_complete(mats))]
+    )
+
+
+def explicit_entropy(S, M, k):
+    w = np.linalg.eigvalsh(posterior(S, M, k).matrix)
+    w = w[w > 1e-12]
+    return float(-np.sum(w * np.log2(w)))
+
+
+class TestPosteriorEntropies:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_explicit_posteriors(self, seed):
+        # rank-deficient elements pad their kernels with zero columns
+        rng = np.random.default_rng([70, seed])
+        d = int(rng.integers(3, 5))
+        M = povm_with_ranks(rng, d, [1, 2, d, d - 1])
+        S = random_density(rng, d)
+        probs, ents = posterior_entropies(S.matrix, M)
+        np.testing.assert_allclose(
+            probs, [np.real(np.trace(S.matrix @ e)) for e in M.elements], atol=1e-12
+        )
+        for k in range(M.size):
+            assert abs(ents[k] - explicit_entropy(S, M, k)) <= 1e-10
+
+    def test_zero_probability_outcome_has_zero_entropy(self):
+        M = FinitePOVM.from_pairs(
+            [("a", np.diag([1.0, 0.0, 0.0])), ("b", np.diag([0.0, 1.0, 1.0]))]
+        )
+        S = DensityOperator(np.diag([0.0, 0.5, 0.5]))
+        with np.errstate(divide="raise", invalid="raise"):
+            probs, ents = posterior_entropies(S.matrix, M)
+        np.testing.assert_allclose(probs, [0.0, 1.0], atol=1e-15)
+        assert ents[0] == 0.0
+        assert abs(ents[1] - 1.0) <= 1e-10
+        assert abs(ents[1] - explicit_entropy(S, M, 1)) <= 1e-10
+
+
+class TestValidation:
+    """Constructor errors: type, message, and which fault is reported first."""
+
+    @pytest.mark.parametrize("build, exc, msg", [
+        (lambda: DensityOperator(np.diag([1.5, -0.5])), NegativeEigenvalue,
+         "state eigenvalue -5.000e-01 below -1e-9"),
+        (lambda: DensityOperator(np.array([[2.0, 1.0], [0.0, 0.0]])),
+         NonHermitianInput, "density operator is not Hermitian within 1e-8"),
+        (lambda: DensityOperator(np.diag([2.0, -1.5])), ValueError,
+         "trace 0.5 deviates from 1 by more than 1e-9"),
+        (lambda: FinitePOVM.from_pairs([
+            ("a", np.diag([1.2, 0.5])), ("b", np.diag([-0.2, 0.5]))]),
+         NegativeEigenvalue, "POVM element b eigenvalue -2.000e-01 below -1e-9"),
+        (lambda: FinitePOVM.from_pairs([
+            ("a", np.diag([-0.2, 0.5])), ("b", np.array([[1.2, 1.0], [0.0, 0.5]]))]),
+         NegativeEigenvalue, "POVM element a eigenvalue -2.000e-01 below -1e-9"),
+        (lambda: FinitePOVM.from_pairs([
+            ("a", np.diag([1.2, 0.5])), ("b", np.array([[-0.2, 1.0], [0.0, 0.5]]))]),
+         NonHermitianInput, "POVM element b is not Hermitian"),
+        (lambda: HybridState(("x", "y"), (np.array([[0.5]]), np.diag([0.6, -0.1]))),
+         NegativeEigenvalue, "block y eigenvalue below -1e-9"),
+        (lambda: HybridState(("x", "y"), (np.array([[0.5, 1.0], [0.0, 0.0]]),
+                                          np.diag([0.6, -0.1]))),
+         NonHermitianInput, "block x is not Hermitian"),
+        (lambda: HybridState(("x", "y"), (np.array([[0.5]]), np.diag([0.3, 0.1]))),
+         ValueError, "total trace 0.9 deviates from 1"),
+        (lambda: EnergyConstraint(np.diag([1.0, -1.0]), -1.0), NegativeEigenvalue,
+         "constraint operator F has eigenvalue below -1e-9"),
+        (lambda: EnergyConstraint(np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0),
+         NonHermitianInput, "constraint operator F is not Hermitian"),
+    ])
+    def test_error_and_message(self, build, exc, msg):
+        with pytest.raises(exc) as info:
+            build()
+        assert str(info.value) == msg
+
+    def test_mixed_block_dimensions_accepted(self):
+        hs = HybridState(("x", "y"), (np.array([[0.5]]), np.diag([0.3, 0.2])))
+        np.testing.assert_allclose(hs.weights(), [0.5, 0.5])
 
 
 class TestAverageStateAndEnergy:

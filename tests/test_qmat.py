@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridcap import herm_eig, matrix_sqrt_psd, validate_hermitian
-from hybridcap.errors import NegativeEigenvalue, NonHermitianInput
+from hybridcap.errors import NegativeEigenvalue, NoConvergence, NonHermitianInput
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -72,6 +72,14 @@ class TestHermEig:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitianInput):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_lapack_failure_is_no_convergence(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NoConvergence):
+            herm_eig(np.eye(2))
 
 
 class TestMatrixSqrtPsd:
