@@ -1,15 +1,26 @@
 """Capacity optimizers and the constrained maximum-entropy (Gibbs) solver.
 
+Both capacities are maximized by one multi-start pattern search
+(``_multistart``): each restart, seeded deterministically, runs rounds of ±
+coordinate moves.  A round that improves nothing multiplies the step by the
+schedule's decay; a restart converges once the step is below a floor (1e-6
+for C, 1e-7 for C_ea) and the round gained less than ``value_tolerance``.
+A C_ea round that improves nothing gains exactly 0, so the tolerance
+applies to C_ea too without changing when its restarts stop, unless the
+schedule starts below the floor.
+
 Classical capacity: alternating optimization over pure-state ensembles —
-exact Blahut–Arimoto prior updates at fixed states, derivative-free pattern
-search over the state parameters at fixed prior, multi-start with
-deterministic per-restart seeds.
+exact Blahut–Arimoto prior updates at fixed states, pattern search over the
+state vectors at fixed prior.  Under an energy constraint a vector ψ over
+the bound is blended toward the ground eigenvector g of F: the energy of
+(1−t)ψ + t·g is a quadratic in t, and the least feasible blend is its root,
+taken in closed form.
 
 Entanglement-assisted capacity: for pure (rank-1) POVMs the value is the
 maximum von Neumann entropy over the feasible set, i.e. the Gibbs-state
 entropy under an energy constraint and log₂ d without one; otherwise the
-entropy reduction is maximized directly by multi-start pattern search over
-density operators.
+entropy reduction is maximized directly over density operators
+S = G†G / Tr G†G.
 
 Returned values are always realized by the returned argmax, so they are
 valid lower bounds on the corresponding suprema even when the search stops
@@ -19,7 +30,7 @@ before the improvement tolerance is met (converged=False).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -164,13 +175,8 @@ def gibbs_state(F, E: float) -> GibbsSolution:
 
 def _ba_weights_step(w: np.ndarray, P: np.ndarray, penalty: np.ndarray) -> np.ndarray:
     """One multiplicative prior update; penalty is multiplier * Tr S_x F per member."""
-    pbar = w @ P
-    mask = (P > 1e-15) & (pbar > 1e-15)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(
-            mask, P * np.log2(np.maximum(P, 1e-300) / np.maximum(pbar, 1e-300)), 0.0
-        )
-    div = terms.sum(axis=1)
+    # not the library's 1e-12, which shifts round counts on projective channels
+    div = hybrid._divergences(w, P, 1e-15)
     logw = np.log2(np.maximum(w, 1e-300)) + div - penalty
     logw -= logw.max()
     nw = np.exp2(logw)
@@ -210,37 +216,76 @@ def _ba_fixed_point(w0: np.ndarray, P: np.ndarray, steps: int = 300) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
+# Multi-start pattern search shared by both capacities
+# ---------------------------------------------------------------------------
+
+def _feasible(M: FinitePOVM, constraint: EnergyConstraint | None):
+    """(F, E, herm_eig(F)) of a constraint checked against M; Nones without one."""
+    if constraint is None:
+        return None, None, None
+    F, E = constraint.F, constraint.E
+    if F.shape[0] != M.dim:
+        raise hybrid.DimensionMismatch("constraint dimension differs from POVM")
+    eig = qmat.herm_eig(F)
+    if E < eig.eigenvalues[0] - 1e-12:
+        raise InfeasibleEnergy(f"E = {E} below ground energy {eig.eigenvalues[0]}")
+    return F, E, eig
+
+
+def _multistart(cfg: OptimizerConfig, start, sweep, step_floor: float) -> CapacityResult:
+    """Best of cfg.restarts pattern searches; argmax is the best raw point.
+
+    ``start(r)`` gives restart r's first (point, value); ``sweep(point,
+    value, step)`` runs one round and gives (point, value, improved).
+    """
+    best, best_val, converged_best = None, -math.inf, False
+    restart_values = []
+    rounds = 0
+    for r in range(cfg.restarts):
+        point, value = start(r)
+        step = cfg.step_schedule.initial
+        converged = False
+        for _ in range(cfg.max_iterations):
+            rounds += 1
+            point, new_value, improved = sweep(point, value, step)
+            gain, value = new_value - value, new_value
+            if not improved:
+                step *= cfg.step_schedule.decay
+            if step < step_floor and gain < cfg.value_tolerance:
+                converged = True
+                break
+        restart_values.append(value)
+        if value > best_val + 1e-15:
+            best, best_val, converged_best = point, value, converged
+    return CapacityResult(best_val, best, rounds, converged_best, tuple(restart_values))
+
+
+# ---------------------------------------------------------------------------
 # Classical capacity (accessible-information objective)
 # ---------------------------------------------------------------------------
 
-def _ground_vector(F: np.ndarray) -> np.ndarray:
-    eig = qmat.herm_eig(F)
-    return eig.eigenvectors[:, 0]
-
-
 def _project_pure_feasible(psi: np.ndarray, F, E, ground: np.ndarray) -> np.ndarray:
-    """Blend a unit vector toward the ground eigenvector until Tr ψF ≤ E."""
+    """Normalize ψ and blend it toward the ground eigenvector g until Tr ψF ≤ E.
+
+    With A = F − E and v(t) = (1−t)ψ + t·g, v†Av = αt² + βt + a where
+    a = ψ†Aψ > 0 ≥ c = g†Ag, b = Re ψ†Ag, α = a − 2b + c and β = 2(b − a);
+    the least feasible blend is its root in (0, 1].  v(t) cannot vanish
+    there because a > 0 ≥ c.
+    """
     psi = psi / np.linalg.norm(psi)
     if F is None:
         return psi
-    def energy(v):
-        return float(np.real(v.conj() @ (F @ v)))
-    if energy(psi) <= E + 1e-12:
+    e_psi = float(np.real(psi.conj() @ (F @ psi)))
+    if e_psi <= E + 1e-12:
         return psi
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        t = 0.5 * (lo + hi)
-        v = (1.0 - t) * psi + t * ground
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            lo = t  # pathological cancellation; push further toward ground
-            continue
-        v = v / nrm
-        if energy(v) > E:
-            lo = t
-        else:
-            hi = t
-    v = (1.0 - hi) * psi + hi * ground
+    Fg = F @ ground
+    a = e_psi - E
+    b = float(np.real(psi.conj() @ Fg)) - E * float(np.real(psi.conj() @ ground))
+    c = float(np.real(ground.conj() @ Fg)) - E
+    alpha, beta = a - 2.0 * b + c, 2.0 * (b - a)
+    den = -beta + math.sqrt(max(beta * beta - 4.0 * alpha * a, 0.0))
+    t = 2.0 * a / den if den > 2.0 * a else 1.0  # E at the ground energy: t = 1
+    v = (1.0 - t) * psi + t * ground
     return v / np.linalg.norm(v)
 
 
@@ -261,95 +306,45 @@ def classical_capacity(
     the average state).  The value returned is realized by the returned
     ensemble and is therefore a valid lower bound on the supremum.
     """
-    d, m = M.dim, M.size
-    F_arr, E = None, None
-    ground = None
-    if constraint is not None:
-        if constraint.F.shape[0] != d:
-            raise hybrid.DimensionMismatch("constraint dimension differs from POVM")
-        F_arr, E = constraint.F, constraint.E
-        fmin = qmat.herm_eig(F_arr).eigenvalues[0]
-        if E < fmin - 1e-12:
-            raise InfeasibleEnergy(f"E = {E} below ground energy {fmin}")
-        ground = _ground_vector(F_arr)
-    cap = cfg.ensemble_size_cap if cfg.ensemble_size_cap is not None else m + 1
+    d = M.dim
+    F, E, eig = _feasible(M, constraint)
+    ground = None if eig is None else eig.eigenvectors[:, 0]
+    cap = cfg.ensemble_size_cap if cfg.ensemble_size_cap is not None else M.size + 1
+    moves = np.vstack([np.eye(d), 1j * np.eye(d)])  # real and imaginary unit moves
 
-    best_val, best = -1.0, None
-    restart_values = []
-    total_rounds = 0
-    converged_best = False
-    for r in range(cfg.restarts):
+    def start(r):
         rng = np.random.default_rng([cfg.seed, r])
         psis = rng.standard_normal((cap, d)) + 1j * rng.standard_normal((cap, d))
-        psis = np.stack(
-            [_project_pure_feasible(v, F_arr, E, ground) for v in psis]
-        )
-        P = _cond_rows(psis, M)
-        w = np.full(cap, 1.0 / cap)
-        step = cfg.step_schedule.initial
-        value = -1.0
-        converged = False
-        for it in range(cfg.max_iterations):
-            total_rounds += 1
-            w = _ba_fixed_point(w, P)
-            value = mutual_information_from_rows(w, P)
-            improved_round = False
-            for x in range(cap):
-                if w[x] < 1e-12:
-                    continue
-                base = psis[x]
-                for j in range(2 * d):
-                    delta = np.zeros(d, dtype=np.complex128)
-                    if j < d:
-                        delta[j] = step
-                    else:
-                        delta[j - d] = 1j * step
-                    for sign in (1.0, -1.0):
-                        cand = _project_pure_feasible(
-                            base + sign * delta, F_arr, E, ground
-                        )
-                        row = np.real(
-                            np.einsum("i,kij,j->k", cand.conj(), M.elements, cand)
-                        )
-                        row[row < 0.0] = 0.0
-                        P_try = P.copy()
-                        P_try[x] = row
-                        v_try = mutual_information_from_rows(w, P_try)
-                        if v_try > value + 1e-14:
-                            psis[x], P, value = cand, P_try, v_try
-                            base = cand
-                            improved_round = True
-            w = _ba_fixed_point(w, P)
-            new_value = mutual_information_from_rows(w, P)
-            gain = new_value - value if it == 0 else new_value - prev_value
-            prev_value = new_value
-            value = new_value
-            if not improved_round:
-                step *= cfg.step_schedule.decay
-            if it > 0 and gain < cfg.value_tolerance and step < 1e-6:
-                converged = True
-                break
-        restart_values.append(value)
-        if value > best_val + 1e-15:
-            best_val = value
-            best = (w.copy(), psis.copy())
-            converged_best = converged
+        psis = np.stack([_project_pure_feasible(v, F, E, ground) for v in psis])
+        # -inf: the first round's gain never counts toward convergence
+        return (np.full(cap, 1.0 / cap), psis, _cond_rows(psis, M)), -math.inf
 
-    w, psis = best
+    def sweep(point, value, step):
+        w, psis, P = point
+        w = _ba_fixed_point(w, P)
+        value = mutual_information_from_rows(w, P)
+        improved = False
+        for x in range(cap):
+            if w[x] < 1e-12:
+                continue
+            for delta in step * moves:
+                for sign in (1.0, -1.0):
+                    cand = _project_pure_feasible(psis[x] + sign * delta, F, E, ground)
+                    P_try = P.copy()
+                    P_try[x] = _cond_rows(cand[None], M)[0]
+                    v_try = mutual_information_from_rows(w, P_try)
+                    if v_try > value + 1e-14:
+                        psis[x], P, value = cand, P_try, v_try
+                        improved = True
+        w = _ba_fixed_point(w, P)
+        return (w, psis, P), mutual_information_from_rows(w, P), improved
+
+    res = _multistart(cfg, start, sweep, 1e-6)
+    w, psis, _ = res.argmax
     keep = w > 1e-9
-    w = w[keep] / w[keep].sum()
-    states = tuple(
-        DensityOperator(np.outer(v, v.conj())) for v in psis[keep]
-    )
-    ensemble = Ensemble(w, states)
-    value = hybrid.mutual_information(ensemble, M)
-    return CapacityResult(
-        value_bits=value,
-        argmax=ensemble,
-        iterations_used=total_rounds,
-        converged=converged_best,
-        restart_values=tuple(restart_values),
-    )
+    states = tuple(DensityOperator(np.outer(v, v.conj())) for v in psis[keep])
+    ensemble = Ensemble(w[keep] / w[keep].sum(), states)
+    return replace(res, value_bits=hybrid.mutual_information(ensemble, M), argmax=ensemble)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +353,9 @@ def classical_capacity(
 
 def is_pure_povm(M: FinitePOVM, tol: float = 1e-10) -> bool:
     """True iff every element has rank 1 (all non-leading eigenvalues < tol)."""
-    for elem in M.elements:
-        w = qmat.herm_eig(elem).eigenvalues
-        if np.any(w[:-1] >= tol):
-            return False
-    return True
+    e = M.elements
+    w = np.linalg.eigvalsh((e + e.conj().transpose(0, 2, 1)) / 2.0)
+    return not np.any(w[:, :-1] >= tol)
 
 
 def _state_from_params(params: np.ndarray, d: int) -> np.ndarray:
@@ -401,69 +394,44 @@ def ea_capacity(
     density operators S = G†G / Tr G†G.
     """
     d = M.dim
-    F_arr, E, ground_proj = None, None, None
-    if constraint is not None:
-        if constraint.F.shape[0] != d:
-            raise hybrid.DimensionMismatch("constraint dimension differs from POVM")
-        F_arr, E = constraint.F, constraint.E
-        eig = qmat.herm_eig(F_arr)
-        if E < eig.eigenvalues[0] - 1e-12:
-            raise InfeasibleEnergy(f"E = {E} below ground energy {eig.eigenvalues[0]}")
-        gmask = eig.eigenvalues <= eig.eigenvalues[0] + 1e-9
-        Vg = eig.eigenvectors[:, gmask]
-        ground_proj = (Vg @ Vg.conj().T) / int(gmask.sum())
-
+    F, E, eig = _feasible(M, constraint)
     if is_pure_povm(M):
         if constraint is None:
             state = DensityOperator(np.eye(d) / d)
             value = math.log2(d)
         else:
-            sol = gibbs_state(F_arr, E)
+            sol = gibbs_state(F, E)
             state, value = sol.state, sol.entropy_bits
         return CapacityResult(value, state, 0, True, (value,))
 
-    best_val, best_s = -1.0, None
-    restart_values = []
-    total_rounds = 0
-    converged_best = False
-    n_par = 2 * d * d
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, 1, r])
-        params = rng.standard_normal(n_par)
-        s = _enforce_energy(_state_from_params(params, d), F_arr, E, ground_proj)
-        value = hybrid._er_value(s, M)
-        step = cfg.step_schedule.initial
-        converged = False
-        for it in range(cfg.max_iterations):
-            total_rounds += 1
-            improved = False
-            for j in range(n_par):
-                for sign in (1.0, -1.0):
-                    cand = params.copy()
-                    cand[j] += sign * step
-                    sc = _enforce_energy(
-                        _state_from_params(cand, d), F_arr, E, ground_proj
-                    )
-                    v = hybrid._er_value(sc, M)
-                    if v > value + 1e-14:
-                        params, value, s = cand, v, sc
-                        improved = True
-            if not improved:
-                step *= cfg.step_schedule.decay
-                if step < 1e-7:
-                    converged = True
-                    break
-        restart_values.append(value)
-        if value > best_val + 1e-15:
-            best_val, best_s = value, s
-            converged_best = converged
+    ground_proj = None
+    if eig is not None:
+        gmask = eig.eigenvalues <= eig.eigenvalues[0] + 1e-9
+        Vg = eig.eigenvectors[:, gmask]
+        ground_proj = (Vg @ Vg.conj().T) / int(gmask.sum())
 
-    state = DensityOperator(best_s)
-    value = hybrid.entropy_reduction(state, M)
-    return CapacityResult(
-        value_bits=value,
-        argmax=state,
-        iterations_used=total_rounds,
-        converged=converged_best,
-        restart_values=tuple(restart_values),
-    )
+    def feasible_state(params):
+        return _enforce_energy(_state_from_params(params, d), F, E, ground_proj)
+
+    def start(r):
+        params = np.random.default_rng([cfg.seed, 1, r]).standard_normal(2 * d * d)
+        s = feasible_state(params)
+        return (params, s), hybrid._er_value(s, M)
+
+    def sweep(point, value, step):
+        params, s = point
+        improved = False
+        for j in range(params.size):
+            for sign in (1.0, -1.0):
+                cand = params.copy()
+                cand[j] += sign * step
+                sc = feasible_state(cand)
+                v = hybrid._er_value(sc, M)
+                if v > value + 1e-14:
+                    params, value, s = cand, v, sc
+                    improved = True
+        return (params, s), value, improved
+
+    res = _multistart(cfg, start, sweep, 1e-7)
+    state = DensityOperator(res.argmax[1])
+    return replace(res, value_bits=hybrid.entropy_reduction(state, M), argmax=state)

@@ -12,6 +12,7 @@ environment variable > 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,12 +23,10 @@ from . import capacity as cap
 from . import coding, hybrid, optics
 from .errors import (
     BracketFailure,
-    DomainError,
     HybridcapError,
     InfeasibleEnergy,
     NegativeEigenvalue,
     NonHermitianInput,
-    ZeroProbabilityOutcome,
 )
 
 EXIT_OK = 0
@@ -410,8 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process; build_parser() itself always returns a new one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except SpecParseError as exc:
@@ -420,10 +425,7 @@ def main(argv=None) -> int:
     except (InfeasibleEnergy, BracketFailure) as exc:
         print(f"infeasible constraint: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except SpecInvariantError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (DomainError, ZeroProbabilityOutcome, HybridcapError, ValueError) as exc:
+    except (SpecInvariantError, HybridcapError, ValueError) as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -187,12 +187,12 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
             )
             continue
         # average over several random codebooks so the estimate reflects the
-        # random-coding ensemble, not a single (possibly lucky) draw
+        # random-coding ensemble, not a single (possibly lucky) draw; the
+        # first trials % books codebooks run one extra trial each
         books = min(32, trials)
-        per_book = trials // books
+        per_book, extra = divmod(trials, books)
         cols = np.arange(n)
         failures = 0
-        done = 0
         for b in range(books):
             rng_book = np.random.default_rng([seed, n, b])
             idx = rng_book.choice(
@@ -202,7 +202,7 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
             with np.errstate(divide="ignore"):
                 L = np.log(P)  # -inf on zero-probability outcomes is fine
             cum = P.cumsum(axis=2)
-            for t in range(per_book):
+            for t in range(per_book + (b < extra)):
                 rng = np.random.default_rng([seed, n, b, t])
                 j = int(rng.integers(N))
                 u = rng.random(n)
@@ -211,10 +211,9 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
                 ll = L[:, cols, word].sum(axis=1)
                 if int(np.argmax(ll)) != j:
                     failures += 1
-                done += 1
-        est = failures / done
-        half = 1.96 * math.sqrt(max(est * (1.0 - est), 0.0) / done)
+        est = failures / trials
+        half = 1.96 * math.sqrt(max(est * (1.0 - est), 0.0) / trials)
         entries.append(
-            {"n": int(n), "N": N, "error": est, "half_width": half, "trials": done}
+            {"n": int(n), "N": N, "error": est, "half_width": half, "trials": trials}
         )
     return RateExperimentResult(rate=float(R), entries=tuple(entries))

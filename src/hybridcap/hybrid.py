@@ -348,15 +348,20 @@ def mutual_information(pi: Ensemble, M: FinitePOVM) -> float:
     return mutual_information_from_rows(pi.weights, P)
 
 
-def mutual_information_from_rows(weights: np.ndarray, P: np.ndarray) -> float:
-    """I from a (members, outcomes) conditional probability matrix."""
+def _divergences(weights: np.ndarray, P: np.ndarray, eps: float = _EIG_EPS) -> np.ndarray:
+    """Per-row D(P_x‖p̄) in bits, p̄ = weights @ P; entries <= eps count as 0."""
     pbar = weights @ P
-    mask = (P > _EIG_EPS) & (pbar > _EIG_EPS)[None, :]
+    mask = (P > eps) & (pbar > eps)[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(
             mask, P * np.log2(np.maximum(P, 1e-300) / np.maximum(pbar, 1e-300)), 0.0
         )
-    return max(float(weights @ terms.sum(axis=1)), 0.0)
+    return terms.sum(axis=1)
+
+
+def mutual_information_from_rows(weights: np.ndarray, P: np.ndarray) -> float:
+    """I from a (members, outcomes) conditional probability matrix."""
+    return max(float(weights @ _divergences(weights, P)), 0.0)
 
 
 def chi_cq(weights, states) -> float:

@@ -27,6 +27,7 @@ from hybridcap import (
     mutual_information,
     vn_entropy,
 )
+from hybridcap.capacity import StepSchedule, _project_pure_feasible
 from hybridcap.errors import InfeasibleEnergy
 
 TWO_LEVEL_E = 1.0 / (1.0 + math.e)  # Gibbs energy of F=diag(0,1) at beta=1
@@ -235,3 +236,122 @@ class TestEaCapacity:
         c_val = classical_capacity(M, cfg=cfgc).value_bits
         ea_val = ea_capacity(M, cfg=cfge).value_bits
         assert c_val <= ea_val + 1e-6
+
+
+def _energy(v, F):
+    v = v / np.linalg.norm(v)
+    return float(np.real(v.conj() @ F @ v))
+
+
+def _bisect_blend(psi, F, E, g):
+    """Least t with (1-t)ψ + t·g feasible, by 80 bisection steps."""
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        t = 0.5 * (lo + hi)
+        if _energy((1.0 - t) * psi + t * g, F) > E:
+            lo = t
+        else:
+            hi = t
+    return hi
+
+
+def _blend(psi, g, t):
+    v = (1.0 - t) * psi + t * g
+    return v / np.linalg.norm(v)
+
+
+class TestProjectPureFeasible:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_bisection_and_is_least_blend(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 5))
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        F = g @ g.conj().T
+        w, V = np.linalg.eigh(F)
+        ground = V[:, 0]
+        E = float(rng.uniform(w[0], w[0] + 0.5 * (w[-1] - w[0])))
+        raw = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi = raw / np.linalg.norm(raw)
+        out = _project_pure_feasible(raw, F, E, ground)
+        assert _energy(out, F) <= E + 1e-12
+        if _energy(psi, F) <= E + 1e-12:
+            np.testing.assert_array_equal(out, psi)
+            return
+        t = _bisect_blend(psi, F, E, ground)
+        assert np.max(np.abs(out - _blend(psi, ground, t))) <= 1e-12
+        assert _energy(_blend(psi, ground, t - 1e-9), F) > E
+
+    def test_ground_energy_gives_ground_vector(self):
+        # at E = ground energy the blended energy has a double root at t = 1,
+        # which bisection resolves only to about the square root of eps
+        F = np.diag([0.5, 1.5, 2.5]).astype(complex)
+        ground = np.array([1.0, 0.0, 0.0], dtype=complex)
+        psi = np.array([0.6, 0.0, 0.8j])
+        out = _project_pure_feasible(psi, F, 0.5, ground)
+        assert _energy(out, F) <= 0.5 + 1e-12
+        assert np.max(np.abs(out - ground)) <= 1e-12
+        t = _bisect_blend(psi, F, 0.5, ground)
+        assert np.max(np.abs(out - _blend(psi, ground, t))) <= 1e-8
+
+    def test_feasible_vector_is_only_normalized(self):
+        F = np.diag([0.0, 1.0]).astype(complex)
+        psi = np.array([2.0, 0.5j])
+        out = _project_pure_feasible(psi, F, 0.5, np.array([1.0, 0.0j]))
+        np.testing.assert_array_equal(out, psi / np.linalg.norm(psi))
+
+
+class TestIsPurePovm:
+    def test_rank2_element_among_rank1(self):
+        M = FinitePOVM.from_pairs([
+            ("a", np.diag([1.0, 0.0, 0.0])),
+            ("b", np.diag([0.0, 1.0, 0.0])),
+            ("c", np.diag([0.0, 0.0, 1.0])),
+        ])
+        assert is_pure_povm(M)
+        M = FinitePOVM.from_pairs([
+            ("a", np.diag([1.0, 0.0, 0.0])),
+            ("bc", np.diag([0.0, 1.0, 1.0])),
+        ])
+        assert not is_pure_povm(M)
+
+    def test_second_eigenvalue_below_tolerance(self):
+        eps = 5e-11
+        M = FinitePOVM.from_pairs([
+            ("0", np.diag([1.0 - eps, eps])), ("1", np.diag([eps, 1.0 - eps])),
+        ])
+        assert is_pure_povm(M)
+        assert not is_pure_povm(M, tol=1e-11)
+
+
+class TestMultistartResults:
+    CFG = OptimizerConfig(seed=1, restarts=3, max_iterations=40)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ea_value_is_best_restart(self, seed):
+        M = random_povm(np.random.default_rng(seed), 2, 3)
+        res = ea_capacity(M, cfg=self.CFG)
+        assert res.value_bits in res.restart_values
+        assert max(res.restart_values) - res.value_bits <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_classical_value_is_best_restart(self, seed):
+        M = random_povm(np.random.default_rng(seed), 2, 3)
+        c = EnergyConstraint(np.diag([0.0, 1.0]), 0.3) if seed == 2 else None
+        res = classical_capacity(M, c, self.CFG)
+        assert abs(res.value_bits - max(res.restart_values)) <= 1e-9
+
+    @pytest.mark.parametrize("solver", [classical_capacity, ea_capacity])
+    def test_restart_and_round_counts(self, solver):
+        M = random_povm(np.random.default_rng(7), 2, 3)
+        cfg = OptimizerConfig(seed=0, restarts=3, max_iterations=15,
+                              step_schedule=StepSchedule(0.3, 0.4))
+        res = solver(M, cfg=cfg)
+        assert len(res.restart_values) == cfg.restarts
+        assert cfg.restarts <= res.iterations_used <= cfg.restarts * cfg.max_iterations
+
+    @pytest.mark.parametrize("solver", [classical_capacity, ea_capacity])
+    def test_one_round_does_not_converge(self, solver):
+        M = random_povm(np.random.default_rng(8), 2, 3)
+        res = solver(M, cfg=OptimizerConfig(seed=0, restarts=2, max_iterations=1))
+        assert not res.converged
+        assert res.iterations_used == 2

@@ -164,6 +164,16 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "rate R = 0.500000 bits/use" in out and "n =   2" in out
 
+    def test_code_sim_csv_reports_exact_trials(self, full_file, tmp_path):
+        path = tmp_path / "rates.csv"
+        assert main([
+            "code-sim", full_file, "--rate", "0.5", "--nlist", "2,4",
+            "--trials", "100", "--csv", str(path),
+        ]) == 0
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "n,N,error,half_width,trials"
+        assert [row.split(",")[-1] for row in lines[1:]] == ["100", "100"]
+
     def test_code_sim_zero_trials_exit_2(self, full_file, capsys):
         assert main([
             "code-sim", full_file, "--rate", "0.5", "--nlist", "4",

@@ -159,6 +159,12 @@ class TestRateExperiment:
         floor = 1.0 - 1.0 / R - 1.0 / (n * R) - 3 * e["half_width"]
         assert e["error"] >= floor
 
+    def test_exact_trial_count(self):
+        # 100 trials over 32 codebooks: the first 4 run one extra trial
+        ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
+        res = rate_experiment(z_povm(), ens, 0.5, [2, 4, 6], trials=100, seed=0)
+        assert [e["trials"] for e in res.entries] == [100, 100, 100]
+
     def test_zero_trials_rejected(self):
         ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
         with pytest.raises(ValueError, match="trials"):
