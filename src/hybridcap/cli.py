@@ -98,6 +98,17 @@ class ChannelSpec:
         return out
 
 
+_SPEC_ERRORS = (ValueError, TypeError, NonHermitianInput, NegativeEigenvalue)
+
+
+def _construct(prefix: str, build):
+    """build(), with a constructor failure (_SPEC_ERRORS) raised as SpecInvariantError."""
+    try:
+        return build()
+    except _SPEC_ERRORS as exc:
+        raise SpecInvariantError(f"{prefix}{exc}") from exc
+
+
 def parse_spec(path: str) -> ChannelSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -120,18 +131,12 @@ def parse_spec(path: str) -> ChannelSpec:
         pairs.append(
             (str(entry["label"]), _matrix_from_json(entry, dim, f"{path}: povm[{k}]"))
         )
-    try:
-        povm = hybrid.FinitePOVM.from_pairs(pairs)
-    except (ValueError, NonHermitianInput, NegativeEigenvalue) as exc:
-        raise SpecInvariantError(str(exc)) from exc
+    povm = _construct("", lambda: hybrid.FinitePOVM.from_pairs(pairs))
 
     state = None
     if "state" in raw:
         mat = _matrix_from_json(raw["state"], dim, f"{path}: state")
-        try:
-            state = hybrid.DensityOperator(mat)
-        except (ValueError, NonHermitianInput, NegativeEigenvalue) as exc:
-            raise SpecInvariantError(f"state: {exc}") from exc
+        state = _construct("state: ", lambda: hybrid.DensityOperator(mat))
 
     constraint = None
     if "constraint" in raw:
@@ -139,10 +144,8 @@ def parse_spec(path: str) -> ChannelSpec:
         if not isinstance(c, dict) or "F" not in c or "E" not in c:
             _fail_parse(path, 'constraint: expected an object with "F" and "E"')
         fmat = _matrix_from_json(c["F"], dim, f"{path}: constraint.F")
-        try:
-            constraint = hybrid.EnergyConstraint(fmat, float(c["E"]))
-        except (ValueError, TypeError, NonHermitianInput, NegativeEigenvalue) as exc:
-            raise SpecInvariantError(f"constraint: {exc}") from exc
+        constraint = _construct(
+            "constraint: ", lambda: hybrid.EnergyConstraint(fmat, float(c["E"])))
 
     ensemble = None
     if "ensemble" in raw:
@@ -153,12 +156,9 @@ def parse_spec(path: str) -> ChannelSpec:
             _matrix_from_json(s, dim, f"{path}: ensemble.states[{k}]")
             for k, s in enumerate(e["states"])
         ]
-        try:
-            weights = np.asarray(e["weights"], dtype=float)
-            states = tuple(hybrid.DensityOperator(m) for m in mats)
-            ensemble = hybrid.Ensemble(weights, states)
-        except (ValueError, TypeError, NonHermitianInput, NegativeEigenvalue) as exc:
-            raise SpecInvariantError(f"ensemble: {exc}") from exc
+        ensemble = _construct("ensemble: ", lambda: hybrid.Ensemble(
+            np.asarray(e["weights"], dtype=float),
+            tuple(hybrid.DensityOperator(m) for m in mats)))
 
     options = raw.get("options", {})
     if not isinstance(options, dict):
@@ -264,6 +264,17 @@ def cmd_mi(args) -> int:
     return EXIT_OK
 
 
+def _finish_capacity(args, result: cap.CapacityResult) -> int:
+    """--csv row, non-convergence warning and exit code of capacity and ea."""
+    if args.csv:
+        _write_csv(args.csv, "value_bits,converged,iterations",
+                   [(result.value_bits, result.converged, result.iterations_used)])
+    if not result.converged:
+        print("warning: optimizer did not converge; value is a lower bound")
+        return EXIT_NONCONVERGED
+    return EXIT_OK
+
+
 def cmd_capacity(args) -> int:
     spec = parse_spec(args.spec)
     cfg = _resolve_config(args, spec)
@@ -271,13 +282,7 @@ def cmd_capacity(args) -> int:
     print(f"C = {result.value_bits:.6f} bits")
     print(f"ensemble size: {len(result.argmax.states)}; "
           f"iterations: {result.iterations_used}; converged: {result.converged}")
-    if args.csv:
-        _write_csv(args.csv, "value_bits,converged,iterations",
-                   [(result.value_bits, result.converged, result.iterations_used)])
-    if not result.converged:
-        print("warning: optimizer did not converge; value is a lower bound")
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return _finish_capacity(args, result)
 
 
 def cmd_ea(args) -> int:
@@ -285,18 +290,14 @@ def cmd_ea(args) -> int:
     cfg = _resolve_config(args, spec)
     result = cap.ea_capacity(spec.povm, spec.constraint, cfg)
     print(f"C_ea = {result.value_bits:.6f} bits")
-    if cap.is_pure_povm(spec.povm):
+    # only the rank-1 Gibbs path runs zero rounds: the pattern search runs
+    # at least one (restarts >= 1 and max_iterations >= 1)
+    if result.iterations_used == 0:
         print("path: gibbs (rank-1 POVM)")
     else:
         print(f"path: pattern search; iterations: {result.iterations_used}; "
               f"converged: {result.converged}")
-    if args.csv:
-        _write_csv(args.csv, "value_bits,converged,iterations",
-                   [(result.value_bits, result.converged, result.iterations_used)])
-    if not result.converged:
-        print("warning: optimizer did not converge; value is a lower bound")
-        return EXIT_NONCONVERGED
-    return EXIT_OK
+    return _finish_capacity(args, result)
 
 
 def cmd_gibbs(args) -> int:

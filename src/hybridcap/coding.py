@@ -4,18 +4,24 @@ Codewords are product states; the decoder acts on classical outcome words
 only.  Decoding is maximum likelihood with lowest-message-index tie
 breaking; the erasure cell (message index 0) is kept in the partition
 format but is never used by ML.
+
+Outcome words are (count, n) arrays of outcome indices.  Monte Carlo
+``average_error`` draws from one ``default_rng(seed)``; ``rate_experiment``
+from one ``default_rng([seed, n, b])`` per codebook b at block length n:
+its codewords, then all its messages, then their per-slot uniforms.  This
+layout replaced one generator per trial, so Monte Carlo numbers differ
+from earlier versions; reruns with the same seed stay identical.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge
-from .hybrid import DensityOperator, Ensemble, FinitePOVM, OutcomeDistribution, outcome_probs
+from .hybrid import Ensemble, FinitePOVM, OutcomeDistribution, outcome_probs
 
 # exact enumeration guard: n * log2(m) <= 20, i.e. at most ~1e6 outcome words
 _ENUM_BITS = 20
@@ -31,13 +37,9 @@ class Codebook:
         words = tuple(tuple(w) for w in self.codewords)
         if len(words) < 1 or len(words[0]) < 1:
             raise ValueError("codebook needs N >= 1 codewords of length n >= 1")
-        n = len(words[0])
-        dims = set()
-        for w in words:
-            if len(w) != n:
-                raise ValueError("all codewords must share the block length")
-            dims.update(s.dim for s in w)
-        if len(dims) != 1:
+        if any(len(w) != len(words[0]) for w in words):
+            raise ValueError("all codewords must share the block length")
+        if len({s.dim for w in words for s in w}) != 1:
             raise DimensionMismatch("codeword slots have mixed dimensions")
         object.__setattr__(self, "codewords", words)
 
@@ -66,39 +68,43 @@ def codeword_distribution(codeword, M: FinitePOVM):
     The product over slots is the outcome law of the n-fold product
     observable; it is never materialized as a full m^n vector here.
     """
-    return [
-        OutcomeDistribution(outcome_probs(s.matrix, M)) for s in codeword
-    ]
+    return [OutcomeDistribution(outcome_probs(s.matrix, M)) for s in codeword]
 
 
 def _slot_probs(book: Codebook, M: FinitePOVM) -> np.ndarray:
     """(N, n, m) conditional outcome probabilities of every codeword slot."""
-    P = np.empty((book.N, book.n, M.size))
-    for i, word in enumerate(book.codewords):
-        for t, s in enumerate(word):
-            row = outcome_probs(s.matrix, M)
-            row[row < 0.0] = 0.0
-            P[i, t] = row
+    # per slot: one batched einsum rounds differently and would flip exact ML ties
+    P = np.array([[outcome_probs(s.matrix, M) for s in w] for w in book.codewords])
+    P[P < 0.0] = 0.0
     return P
 
 
-def _check_enumerable(n: int, m: int):
+def _all_words(n: int, m: int) -> np.ndarray:
+    """(m^n, n) outcome index words in lexicographic order."""
     if n * math.log2(m) > _ENUM_BITS:
         raise EnumerationTooLarge(
-            f"{m}^{n} outcome words exceed the exact-enumeration guard (2^{_ENUM_BITS})"
-        )
-
-
-def _all_words(n: int, m: int) -> np.ndarray:
-    return np.array(list(itertools.product(range(m), repeat=n)), dtype=int)
+            f"{m}^{n} outcome words exceed the exact-enumeration guard (2^{_ENUM_BITS})")
+    return np.indices((m,) * n).reshape(n, -1).T
 
 
 def _word_likelihoods(P: np.ndarray, words: np.ndarray) -> np.ndarray:
     """(N, n_words) likelihood of each word under each codeword's product law."""
-    n = P.shape[1]
-    # gather P[i, t, words[w, t]] and multiply over t
-    factors = np.stack([P[:, t, words[:, t]] for t in range(n)], axis=0)
-    return np.prod(factors, axis=0)
+    return np.prod(P[:, np.arange(P.shape[1]), words], axis=2)
+
+
+def _label_words(M: FinitePOVM, words: np.ndarray) -> list:
+    """Label tuples of (count, n) outcome index words."""
+    return list(map(tuple, np.array(M.labels, dtype=object)[words]))
+
+
+def _sample_words(rng, P: np.ndarray, count: int):
+    """(messages, words): count uniform 0-based messages j and, per message,
+    an outcome index word drawn slot by slot from P[j] by inverse CDF."""
+    N, n, m = P.shape
+    j = rng.integers(N, size=count)
+    u = rng.random((count, n))
+    words = (P[j].cumsum(axis=2) < u[:, :, None]).sum(axis=2)
+    return j, np.minimum(words, m - 1)
 
 
 def ml_partition(book: Codebook, M: FinitePOVM) -> DecoderPartition:
@@ -107,16 +113,9 @@ def ml_partition(book: Codebook, M: FinitePOVM) -> DecoderPartition:
     Ties go to the lowest message index.  Message indices are 1-based;
     index 0 (erasure) is retained in the format but never assigned.
     """
-    _check_enumerable(book.n, M.size)
-    P = _slot_probs(book, M)
     words = _all_words(book.n, M.size)
-    lik = _word_likelihoods(P, words)  # (N, n_words)
-    winners = np.argmax(lik, axis=0) + 1
-    assignment = {
-        tuple(M.labels[k] for k in words[w]): int(winners[w])
-        for w in range(words.shape[0])
-    }
-    return DecoderPartition(assignment)
+    winners = np.argmax(_word_likelihoods(_slot_probs(book, M), words), axis=0) + 1
+    return DecoderPartition(dict(zip(_label_words(M, words), winners.tolist())))
 
 
 def average_error(book: Codebook, part: DecoderPartition, M: FinitePOVM,
@@ -129,31 +128,19 @@ def average_error(book: Codebook, part: DecoderPartition, M: FinitePOVM,
     """
     P = _slot_probs(book, M)
     if mode == "exact":
-        _check_enumerable(book.n, M.size)
         words = _all_words(book.n, M.size)
-        lik = _word_likelihoods(P, words)
-        correct = 0.0
-        for w in range(words.shape[0]):
-            j = part.decode(tuple(M.labels[k] for k in words[w]))
-            if 1 <= j <= book.N:
-                correct += lik[j - 1, w]
-        return 1.0 - correct / book.N
-    if mode != "monte_carlo":
+    elif mode == "monte_carlo":
+        j, words = _sample_words(np.random.default_rng(seed), P, trials)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    failures = 0
-    m = M.size
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        j = int(rng.integers(book.N))
-        word = tuple(
-            M.labels[rng.choice(m, p=P[j, slot] / P[j, slot].sum())]
-            for slot in range(book.n)
-        )
-        if part.decode(word) != j + 1:
-            failures += 1
-    est = failures / trials
-    half = 1.96 * math.sqrt(max(est * (1.0 - est), 0.0) / trials)
-    return est, half
+    decoded = np.array([part.decode(w) for w in _label_words(M, words)], dtype=int)
+    if mode == "monte_carlo":
+        est = int(np.count_nonzero(decoded != j + 1)) / trials
+        return est, 1.96 * math.sqrt(est * (1.0 - est) / trials)
+    # erasures (0) and indices above N decode to no codeword: errors
+    ok = np.flatnonzero((decoded >= 1) & (decoded <= book.N))
+    lik = _word_likelihoods(P, words)
+    return float(1.0 - lik[decoded[ok] - 1, ok].sum() / book.N)
 
 
 @dataclass(frozen=True)
@@ -167,8 +154,8 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
     """Random-coding Monte-Carlo error profile at rate R (bits/use).
 
     For each block length n, draws N = ceil(2^{nR}) codewords i.i.d. per
-    slot from the ensemble, decodes sampled outcome words by maximum
-    likelihood word-by-word, and estimates the average error.
+    slot from the ensemble, decodes every sampled outcome word by maximum
+    likelihood, and estimates the average error.
     """
     if R <= 0.0:
         raise ValueError("rate R must be positive")
@@ -177,42 +164,32 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
     member_rows = np.stack([outcome_probs(s.matrix, M) for s in ensemble.states])
     member_rows[member_rows < 0.0] = 0.0
     member_rows /= member_rows.sum(axis=1, keepdims=True)
-    m = M.size
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(member_rows)  # -inf on zero-probability outcomes is fine
     entries = []
     for n in n_list:
         N = math.ceil(2.0 ** (n * R))
         if N < 2:
-            entries.append(
-                {"n": n, "N": N, "error": 0.0, "half_width": 0.0, "trials": 0}
-            )
+            entries.append({"n": n, "N": N, "error": 0.0, "half_width": 0.0, "trials": 0})
             continue
         # average over several random codebooks so the estimate reflects the
         # random-coding ensemble, not a single (possibly lucky) draw; the
         # first trials % books codebooks run one extra trial each
         books = min(32, trials)
         per_book, extra = divmod(trials, books)
-        cols = np.arange(n)
         failures = 0
         for b in range(books):
-            rng_book = np.random.default_rng([seed, n, b])
-            idx = rng_book.choice(
-                len(ensemble.states), size=(N, n), p=ensemble.weights
-            )
-            P = member_rows[idx]  # (N, n, m)
-            with np.errstate(divide="ignore"):
-                L = np.log(P)  # -inf on zero-probability outcomes is fine
-            cum = P.cumsum(axis=2)
-            for t in range(per_book + (b < extra)):
-                rng = np.random.default_rng([seed, n, b, t])
-                j = int(rng.integers(N))
-                u = rng.random(n)
-                word = (cum[j] < u[:, None]).sum(axis=1)
-                word = np.minimum(word, m - 1)
-                ll = L[:, cols, word].sum(axis=1)
-                if int(np.argmax(ll)) != j:
-                    failures += 1
+            rng = np.random.default_rng([seed, n, b])
+            idx = rng.choice(len(ensemble.states), size=(N, n), p=ensemble.weights)
+            j, words = _sample_words(rng, member_rows[idx], per_book + (b < extra))
+            L = log_rows[idx]  # (N, n, m)
+            # (N, trials) log-likelihoods, summed slot by slot: no (N, trials, n) array
+            ll = L[:, 0, words[:, 0]]
+            for t in range(1, n):
+                ll += L[:, t, words[:, t]]
+            failures += int(np.count_nonzero(np.argmax(ll, axis=0) != j))
         est = failures / trials
-        half = 1.96 * math.sqrt(max(est * (1.0 - est), 0.0) / trials)
+        half = 1.96 * math.sqrt(est * (1.0 - est) / trials)
         entries.append(
             {"n": int(n), "N": N, "error": est, "half_width": half, "trials": trials}
         )

@@ -41,9 +41,9 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def validate_hermitian(a, tol: float) -> bool:
-    """True iff max|A - A†| <= tol."""
+    """True iff A is finite and max|A - A†| <= tol."""
     m = as_complex_matrix(a)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.isfinite(m).all() and np.max(np.abs(m - m.conj().T)) <= tol)
 
 
 def herm_eig(a) -> HermEigResult:
@@ -67,16 +67,22 @@ def herm_eig(a) -> HermEigResult:
 def check_psd_stack(stack, not_hermitian: str, negative: str, labels=("",)) -> None:
     """Validate a (k, d, d) stack of matrices expected Hermitian PSD.
 
-    Each matrix must be Hermitian within 1e-8 and then have no eigenvalue
-    below PSD_FLOOR; one batched ``eigvalsh`` covers the stack.  The first
-    failing matrix raises NonHermitianInput(``not_hermitian``) or
+    The first matrix with a NaN or infinite entry raises ValueError, naming
+    the matrix as ``not_hermitian`` does before " is not Hermitian".  Then
+    each matrix must be Hermitian within 1e-8 and have no eigenvalue below
+    PSD_FLOOR; one batched ``eigvalsh`` covers the stack.  The first failing
+    matrix raises NonHermitianInput(``not_hermitian``) or
     NegativeEigenvalue(``negative``), formatted with its ``label`` (entry of
     ``labels``) and least eigenvalue ``w``.
     """
     stack = np.asarray(stack, dtype=np.complex128)
+    if not np.isfinite(stack).all():
+        k = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))[0]
+        name = not_hermitian.split(" is not Hermitian")[0].format(label=labels[k])
+        raise ValueError(f"{name} has non-finite entries")
     adj = stack.conj().transpose(0, 2, 1)
-    hermitian = np.max(np.abs(stack - adj), axis=(1, 2)) <= 1e-8
-    # non-Hermitian (or NaN) matrices are zeroed so LAPACK sees finite input
+    hermitian = np.abs(stack - adj).max(axis=(1, 2)) <= 1e-8
+    # non-Hermitian matrices are zeroed so LAPACK sees only Hermitian input
     sym = np.where(hermitian[:, None, None], (stack + adj) / 2.0, 0.0)
     w = np.linalg.eigvalsh(sym)[:, 0]
     fault = np.flatnonzero(~hermitian | (w < PSD_FLOOR))

@@ -42,6 +42,9 @@ def random_povm(rng, d, m):
 
 
 def random_rank1_povm(rng, d, m):
+    # m < d rank-1 elements cannot sum to a full-rank operator to complete
+    if m < d:
+        raise ValueError(f"a rank-1 POVM on dimension {d} needs m >= {d}, got {m}")
     mats = []
     for _ in range(m):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)

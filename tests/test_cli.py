@@ -80,6 +80,14 @@ class TestValidate:
         spec["povm"][1]["re"] = (0.9 * np.diag([0.0, 1.0])).tolist()
         assert main(["validate", write_spec(tmp_path, spec)]) == 2
 
+    def test_nan_entry_exit_2(self, tmp_path, capsys):
+        # json writes the float NaN as the bare token NaN, which json reads back
+        spec = z_spec()
+        spec["povm"][0]["re"][1][1] = float("nan")
+        assert main(["validate", write_spec(tmp_path, spec)]) == 2
+        err = capsys.readouterr().err
+        assert err == "invariant violation: POVM element 0 has non-finite entries\n"
+
     def test_truncated_json_exit_3(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"dim": 2, "povm": [', encoding="utf-8")

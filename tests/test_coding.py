@@ -16,6 +16,7 @@ from hybridcap import (
     ml_partition,
     rate_experiment,
 )
+from hybridcap.coding import _all_words
 from hybridcap.errors import EnumerationTooLarge
 
 
@@ -43,6 +44,16 @@ class TestCodewordDistribution:
         dists = codeword_distribution([ket(2, 0), ket(2, 1)], bsc_povm(0.75))
         p01 = dists[0].probabilities[0] * dists[1].probabilities[1]
         assert abs(p01 - 0.5625) <= 1e-12
+
+
+class TestWordEnumeration:
+    @pytest.mark.parametrize("n, m", [(1, 2), (1, 4), (2, 3), (3, 2), (4, 3), (5, 2)])
+    def test_all_words_lexicographic(self, n, m):
+        words = _all_words(n, m)
+        assert words.shape == (m**n, n)
+        assert [tuple(w) for w in words.tolist()] == list(
+            itertools.product(range(m), repeat=n)
+        )
 
 
 class TestMlPartition:
@@ -115,6 +126,42 @@ class TestAverageError:
             best = min(best, average_error(book, part, M))
         assert ml_err <= best + 1e-12
 
+    def test_exact_matches_per_word_sum_on_sparse_partition(self):
+        rng = np.random.default_rng(31)
+        n, m, N = 3, 3, 4
+        M = random_povm(rng, 2, m)
+        book = Codebook(tuple(
+            tuple(random_density(rng, 2) for _ in range(n)) for _ in range(N)
+        ))
+        # missing words decode to erasure 0; some words get an index above N
+        assignment = {}
+        for word in itertools.product(M.labels, repeat=n):
+            r = rng.random()
+            if r < 0.6:
+                assignment[word] = int(rng.integers(1, N + 1))
+            elif r < 0.8:
+                assignment[word] = N + 1 + int(rng.integers(2))
+        part = DecoderPartition(assignment)
+        correct = 0.0
+        for word in itertools.product(range(m), repeat=n):
+            j = part.decode(tuple(M.labels[k] for k in word))
+            if 1 <= j <= N:
+                correct += math.prod(
+                    measure(s, M).probabilities[k]
+                    for s, k in zip(book.codewords[j - 1], word)
+                )
+        assert abs(average_error(book, part, M) - (1.0 - correct / N)) <= 1e-12
+
+    def test_monte_carlo_single_trial(self):
+        book = binary_book(3)
+        M = bsc_povm(0.75)
+        part = ml_partition(book, M)
+        for seed in range(5):
+            est, half = average_error(book, part, M, mode="monte_carlo",
+                                      trials=1, seed=seed)
+            assert est in (0.0, 1.0)
+            assert half == 0.0
+
     def test_relabeling_invariance(self):
         M = bsc_povm(0.75)
         book = binary_book(2)
@@ -169,3 +216,18 @@ class TestRateExperiment:
         ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
         with pytest.raises(ValueError, match="trials"):
             rate_experiment(z_povm(), ens, 0.5, [4], trials=0, seed=0)
+
+    def test_same_seed_identical(self):
+        ens = Ensemble([0.3, 0.7], (ket(2, 0), ket(2, 1)))
+        args = (bsc_povm(0.8), ens, 0.6, [2, 5, 7])
+        a = rate_experiment(*args, trials=150, seed=4)
+        b = rate_experiment(*args, trials=150, seed=4)
+        assert a == b
+
+    def test_entries_independent_of_block_length_order(self):
+        # each codebook's stream is keyed by (seed, n, b), not by position
+        ens = Ensemble([0.3, 0.7], (ket(2, 0), ket(2, 1)))
+        M = bsc_povm(0.8)
+        fwd = rate_experiment(M, ens, 0.6, [2, 5, 7], trials=150, seed=4)
+        rev = rate_experiment(M, ens, 0.6, [7, 2, 5], trials=150, seed=4)
+        assert {e["n"]: e for e in fwd.entries} == {e["n"]: e for e in rev.entries}

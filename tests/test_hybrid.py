@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,10 @@ class TestPosterior:
         M = random_rank1_povm(rng, 3, 4)
         for k in range(M.size):
             assert vn_entropy(posterior(S, M, k)) <= 1e-9
+
+    def test_rank1_helper_needs_m_at_least_d(self):
+        with pytest.raises(ValueError, match="needs m >= 3"):
+            random_rank1_povm(np.random.default_rng(0), 3, 2)
 
     def test_trivial_povm_preserves_spectrum(self):
         rng = np.random.default_rng(1)
@@ -419,6 +424,27 @@ class TestValidation:
     def test_error_and_message(self, build, exc, msg):
         with pytest.raises(exc) as info:
             build()
+        assert str(info.value) == msg
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("build, msg", [
+        (lambda x: DensityOperator(np.array([[x, 0.0], [0.0, 1.0]])),
+         "density operator has non-finite entries"),
+        (lambda x: FinitePOVM.from_pairs([
+            ("a", np.diag([1.0, 0.0])), ("b", np.array([[0.0, 0.0], [1j * x, 1.0]]))]),
+         "POVM element b has non-finite entries"),
+        (lambda x: HybridState(("x", "y"), (np.array([[0.5]]), np.diag([x, 0.5]))),
+         "block y has non-finite entries"),
+        (lambda x: EnergyConstraint(np.diag([0.0, x]), 1.0),
+         "constraint operator F has non-finite entries"),
+    ])
+    def test_non_finite_entries(self, build, msg, bad):
+        # reported as non-finite, not as non-Hermitian, and without warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                build(bad)
+        assert type(info.value) is ValueError
         assert str(info.value) == msg
 
     def test_mixed_block_dimensions_accepted(self):
