@@ -9,6 +9,12 @@ A C_ea round that improves nothing gains exactly 0, so the tolerance
 applies to C_ea too without changing when its restarts stop, unless the
 schedule starts below the floor.
 
+The restarts run in lockstep: every point, value and step carries a leading
+restart axis, each candidate move is scored for all running restarts with
+one stacked evaluation, and a restart that has stopped is frozen.  No
+restart sees another; the first k restart values are those of a run with k
+restarts.
+
 Classical capacity: alternating optimization over pure-state ensembles —
 exact Blahut–Arimoto prior updates at fixed states, pattern search over the
 state vectors at fixed prior.  Under an energy constraint a vector ψ over
@@ -42,7 +48,6 @@ from .hybrid import (
     Ensemble,
     FinitePOVM,
     entropy_of_spectrum,
-    mutual_information_from_rows,
     outcome_probs,
 )
 
@@ -173,14 +178,16 @@ def gibbs_state(F, E: float) -> GibbsSolution:
 # Blahut–Arimoto prior updates
 # ---------------------------------------------------------------------------
 
-def _ba_weights_step(w: np.ndarray, P: np.ndarray, penalty: np.ndarray) -> np.ndarray:
-    """One multiplicative prior update; penalty is multiplier * Tr S_x F per member."""
+def _ba_step(w: np.ndarray, P: np.ndarray, penalty=None, parts=None) -> np.ndarray:
+    """One multiplicative prior update of each weight row of w (..., n) against
+    its rows P (..., n, m); penalty is multiplier * Tr S_x F per member."""
     # not the library's 1e-12, which shifts round counts on projective channels
-    div = hybrid._divergences(w, P, 1e-15)
-    logw = np.log2(np.maximum(w, 1e-300)) + div - penalty
-    logw -= logw.max()
+    logw = np.log2(np.maximum(w, 1e-300)) + hybrid._divergences(w, P, 1e-15, parts)
+    if penalty is not None:
+        logw -= penalty
+    logw -= logw.max(axis=-1, keepdims=True)
     nw = np.exp2(logw)
-    return nw / nw.sum()
+    return nw / nw.sum(axis=-1, keepdims=True)
 
 
 def ba_prior_step(
@@ -189,30 +196,43 @@ def ba_prior_step(
     """Blahut–Arimoto prior update π'_x ∝ π_x 2^{D(p(·|x)‖p̄) - multiplier·Tr S_x F}."""
     P = np.stack([outcome_probs(s.matrix, M) for s in pi.states])
     P[P < 0.0] = 0.0
+    penalty = None
     if multiplier != 0.0 and F is not None:
         fmat = qmat.as_complex_matrix(F)
         energies = np.array(
             [float(np.real(np.trace(s.matrix @ fmat))) for s in pi.states]
         )
         penalty = multiplier * energies
-    else:
-        penalty = np.zeros(len(pi.weights))
-    nw = _ba_weights_step(pi.weights, P, penalty)
+    nw = _ba_step(pi.weights, P, penalty)
     keep = nw > 1e-300
     nw = nw[keep] / nw[keep].sum()
     states = tuple(s for s, k in zip(pi.states, keep) if k)
     return Ensemble(nw, states)
 
 
-def _ba_fixed_point(w0: np.ndarray, P: np.ndarray, steps: int = 300) -> np.ndarray:
-    w = w0.copy()
-    zero = np.zeros_like(w)
+def _ba_fixed_point(W: np.ndarray, P: np.ndarray, steps: int = 300) -> np.ndarray:
+    """Blahut–Arimoto fixed point of each weight row of W (R, n) against P (R, n, m).
+
+    A row stops at its first step that moves it by less than 1e-13, or after
+    ``steps`` steps; stopped rows leave the stack and cost nothing further.
+    """
+    out = np.empty_like(W)
+    rows = np.arange(len(W))
+    w, parts = W, hybrid._row_parts(P, 1e-15)
     for _ in range(steps):
-        nw = _ba_weights_step(w, P, zero)
-        if np.max(np.abs(nw - w)) < 1e-13:
-            return nw
+        nw = _ba_step(w, P, parts=parts)
+        moved = np.abs(nw - w).max(axis=-1)
+        if moved.min() < 1e-13:
+            done = moved < 1e-13
+            out[rows[done]] = nw[done]
+            live = ~done
+            if not np.count_nonzero(live):
+                return out
+            rows, nw, P = rows[live], nw[live], P[live]
+            parts = tuple(p[live] for p in parts)
         w = nw
-    return w
+    out[rows] = w
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -233,65 +253,96 @@ def _feasible(M: FinitePOVM, constraint: EnergyConstraint | None):
 
 
 def _multistart(cfg: OptimizerConfig, start, sweep, step_floor: float) -> CapacityResult:
-    """Best of cfg.restarts pattern searches; argmax is the best raw point.
+    """Best of cfg.restarts pattern searches run in lockstep; argmax is the best raw point.
 
-    ``start(r)`` gives restart r's first (point, value); ``sweep(point,
-    value, step)`` runs one round and gives (point, value, improved).
+    A point is a tuple of arrays whose leading axis is the restart.
+    ``start()`` gives every restart's first (point, values); ``sweep(point,
+    values, steps)`` runs one round of the running restarts, possibly in
+    place, and gives (point, values, improved).  A restart that stops leaves
+    the stack: it is neither swept nor counted again.
     """
-    best, best_val, converged_best = None, -math.inf, False
-    restart_values = []
+    point, value = start()
+    final_point, final_value = tuple(a.copy() for a in point), value.copy()
+
+    def record(restarts, rows):
+        for f, a in zip(final_point, point):
+            f[restarts] = a[rows]
+        final_value[restarts] = value[rows]
+
+    running = np.arange(cfg.restarts)
+    step = np.full(cfg.restarts, cfg.step_schedule.initial)
+    converged = np.zeros(cfg.restarts, dtype=bool)
     rounds = 0
-    for r in range(cfg.restarts):
-        point, value = start(r)
-        step = cfg.step_schedule.initial
-        converged = False
-        for _ in range(cfg.max_iterations):
-            rounds += 1
-            point, new_value, improved = sweep(point, value, step)
-            gain, value = new_value - value, new_value
-            if not improved:
-                step *= cfg.step_schedule.decay
-            if step < step_floor and gain < cfg.value_tolerance:
-                converged = True
+    for _ in range(cfg.max_iterations):
+        rounds += running.size
+        point, new_value, improved = sweep(point, value.copy(), step)
+        gain, value = new_value - value, new_value
+        step = np.where(improved, step, step * cfg.step_schedule.decay)
+        stop = (step < step_floor) & (gain < cfg.value_tolerance)
+        if np.count_nonzero(stop):
+            converged[running[stop]] = True
+            record(running[stop], stop)
+            go = ~stop
+            running, value, step = running[go], value[go], step[go]
+            point = tuple(a[go] for a in point)
+            if running.size == 0:
                 break
-        restart_values.append(value)
-        if value > best_val + 1e-15:
-            best, best_val, converged_best = point, value, converged
-    return CapacityResult(best_val, best, rounds, converged_best, tuple(restart_values))
+    record(running, slice(None))
+    best, best_val = None, -math.inf
+    for r, v in enumerate(final_value.tolist()):  # the first of near-equal values wins
+        if v > best_val + 1e-15:
+            best, best_val = r, v
+    argmax = None if best is None else tuple(a[best] for a in final_point)
+    return CapacityResult(best_val, argmax, rounds,
+                          best is not None and bool(converged[best]),
+                          tuple(final_value.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # Classical capacity (accessible-information objective)
 # ---------------------------------------------------------------------------
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each bit-identical to np.linalg.norm."""
+    return np.sqrt(hybrid._dots(v.real, v.real) + hybrid._dots(v.imag, v.imag))
+
+
 def _project_pure_feasible(psi: np.ndarray, F, E, ground: np.ndarray) -> np.ndarray:
     """Normalize ψ and blend it toward the ground eigenvector g until Tr ψF ≤ E.
 
-    With A = F − E and v(t) = (1−t)ψ + t·g, v†Av = αt² + βt + a where
-    a = ψ†Aψ > 0 ≥ c = g†Ag, b = Re ψ†Ag, α = a − 2b + c and β = 2(b − a);
-    the least feasible blend is its root in (0, 1].  v(t) cannot vanish
-    there because a > 0 ≥ c.
+    ψ is one vector or a stack (..., d) of them.  With A = F − E and
+    v(t) = (1−t)ψ + t·g, v†Av = αt² + βt + a where a = ψ†Aψ > 0 ≥ c = g†Ag,
+    b = Re ψ†Ag, α = a − 2b + c and β = 2(b − a); the least feasible blend
+    is its root in (0, 1].  v(t) cannot vanish there because a > 0 ≥ c.
     """
-    psi = psi / np.linalg.norm(psi)
+    psi = psi / _norms(psi)[..., None]
     if F is None:
         return psi
-    e_psi = float(np.real(psi.conj() @ (F @ psi)))
-    if e_psi <= E + 1e-12:
+    dots = hybrid._dots
+    e_psi = dots(psi.conj(), (F @ psi[..., None])[..., 0]).real
+    over = e_psi > E + 1e-12
+    if not np.count_nonzero(over):
         return psi
+    v = psi[over]
     Fg = F @ ground
-    a = e_psi - E
-    b = float(np.real(psi.conj() @ Fg)) - E * float(np.real(psi.conj() @ ground))
+    a = e_psi[over] - E
+    b = dots(v.conj(), Fg).real - E * dots(v.conj(), ground).real
     c = float(np.real(ground.conj() @ Fg)) - E
     alpha, beta = a - 2.0 * b + c, 2.0 * (b - a)
-    den = -beta + math.sqrt(max(beta * beta - 4.0 * alpha * a, 0.0))
-    t = 2.0 * a / den if den > 2.0 * a else 1.0  # E at the ground energy: t = 1
-    v = (1.0 - t) * psi + t * ground
-    return v / np.linalg.norm(v)
+    den = -beta + np.sqrt(np.maximum(beta * beta - 4.0 * alpha * a, 0.0))
+    # E at the ground energy: t = 1
+    t = np.divide(2.0 * a, den, out=np.ones_like(a), where=den > 2.0 * a)[:, None]
+    v = (1.0 - t) * v + t * ground
+    psi[over] = v / _norms(v)[:, None]
+    return psi
 
 
 def _cond_rows(psis: np.ndarray, M: FinitePOVM) -> np.ndarray:
-    """Conditional outcome probabilities for unit vectors, shape (n, m)."""
-    P = np.real(np.einsum("xi,kij,xj->xk", psis.conj(), M.elements, psis))
+    """Conditional outcome probabilities for a stack (..., d) of unit vectors.
+
+    Contiguous, so every product with it takes the same BLAS path.
+    """
+    P = np.real(np.einsum("...i,kij,...j->...k", psis.conj(), M.elements, psis)).copy()
     P[P < 0.0] = 0.0
     return P
 
@@ -311,33 +362,43 @@ def classical_capacity(
     ground = None if eig is None else eig.eigenvectors[:, 0]
     cap = cfg.ensemble_size_cap if cfg.ensemble_size_cap is not None else M.size + 1
     moves = np.vstack([np.eye(d), 1j * np.eye(d)])  # real and imaginary unit moves
+    mutual_informations = hybrid._mutual_informations
 
-    def start(r):
-        rng = np.random.default_rng([cfg.seed, r])
-        psis = rng.standard_normal((cap, d)) + 1j * rng.standard_normal((cap, d))
-        psis = np.stack([_project_pure_feasible(v, F, E, ground) for v in psis])
+    def start():
+        draws = []
+        for r in range(cfg.restarts):
+            rng = np.random.default_rng([cfg.seed, r])
+            draws.append(rng.standard_normal((cap, d)) + 1j * rng.standard_normal((cap, d)))
+        psis = _project_pure_feasible(np.stack(draws), F, E, ground)
+        w = np.full((cfg.restarts, cap), 1.0 / cap)
         # -inf: the first round's gain never counts toward convergence
-        return (np.full(cap, 1.0 / cap), psis, _cond_rows(psis, M)), -math.inf
+        return (w, psis, _cond_rows(psis, M)), np.full(cfg.restarts, -math.inf)
 
     def sweep(point, value, step):
         w, psis, P = point
         w = _ba_fixed_point(w, P)
-        value = mutual_information_from_rows(w, P)
-        improved = False
+        value = mutual_informations(w, P)
+        improved = np.zeros(len(w), dtype=bool)
         for x in range(cap):
-            if w[x] < 1e-12:
+            live = ~(w[:, x] < 1e-12)
+            if not np.count_nonzero(live):
                 continue
-            for delta in step * moves:
+            for move in moves:
+                delta = step[:, None] * move
                 for sign in (1.0, -1.0):
-                    cand = _project_pure_feasible(psis[x] + sign * delta, F, E, ground)
+                    cand = _project_pure_feasible(psis[:, x] + sign * delta, F, E, ground)
+                    rows = _cond_rows(cand, M)
                     P_try = P.copy()
-                    P_try[x] = _cond_rows(cand[None], M)[0]
-                    v_try = mutual_information_from_rows(w, P_try)
-                    if v_try > value + 1e-14:
-                        psis[x], P, value = cand, P_try, v_try
-                        improved = True
+                    P_try[:, x] = rows
+                    v_try = mutual_informations(w, P_try)
+                    accept = live & (v_try > value + 1e-14)
+                    if np.count_nonzero(accept):
+                        np.copyto(psis[:, x], cand, where=accept[:, None])
+                        np.copyto(P[:, x], rows, where=accept[:, None])
+                        np.copyto(value, v_try, where=accept)
+                        improved |= accept
         w = _ba_fixed_point(w, P)
-        return (w, psis, P), mutual_information_from_rows(w, P), improved
+        return (w, psis, P), mutual_informations(w, P), improved
 
     res = _multistart(cfg, start, sweep, 1e-6)
     w, psis, _ = res.argmax
@@ -358,28 +419,34 @@ def is_pure_povm(M: FinitePOVM, tol: float = 1e-10) -> bool:
     return not np.any(w[:, :-1] >= tol)
 
 
-def _state_from_params(params: np.ndarray, d: int) -> np.ndarray:
-    g = params[: d * d].reshape(d, d) + 1j * params[d * d :].reshape(d, d)
-    s = g.conj().T @ g
-    tr = float(np.real(np.trace(s)))
-    if tr < 1e-14:
-        s = np.eye(d, dtype=np.complex128)
-        tr = float(d)
-    s = s / tr
-    return (s + s.conj().T) / 2.0
+def _state_from_factors(g: np.ndarray) -> np.ndarray:
+    """S = G†G / Tr G†G for each G of a stack (R, d, d); I/d where Tr G†G < 1e-14."""
+    s = g.conj().transpose(0, 2, 1) @ g
+    tr = s.trace(axis1=1, axis2=2).real
+    small = tr < 1e-14
+    if np.count_nonzero(small):
+        d = g.shape[-1]
+        s[small] = np.eye(d)
+        tr[small] = d
+    s /= tr[:, None, None]
+    return (s + s.conj().transpose(0, 2, 1)) / 2.0
 
 
 def _enforce_energy(s: np.ndarray, F, E, ground_proj) -> np.ndarray:
-    """Mix toward the normalized ground projector until Tr SF <= E."""
+    """Mix each state of a stack (R, d, d) toward the normalized ground
+    projector until Tr SF <= E."""
     if F is None:
         return s
-    e_s = float(np.real(np.trace(s @ F)))
-    if e_s <= E + 1e-12:
+    e_s = (s @ F).trace(axis1=1, axis2=2).real
+    over = e_s > E + 1e-12
+    if not np.count_nonzero(over):
         return s
     e_g = float(np.real(np.trace(ground_proj @ F)))
-    t = (e_s - E) / (e_s - e_g)  # energy is linear in the mixing weight
-    t = min(max(t, 0.0), 1.0)
-    return (1.0 - t) * s + t * ground_proj
+    t = (e_s[over] - E) / (e_s[over] - e_g)  # energy is linear in the mixing weight
+    t = np.clip(t, 0.0, 1.0)[:, None, None]
+    s = s.copy()
+    s[over] = (1.0 - t) * s[over] + t * ground_proj
+    return s
 
 
 def ea_capacity(
@@ -410,27 +477,39 @@ def ea_capacity(
         Vg = eig.eigenvectors[:, gmask]
         ground_proj = (Vg @ Vg.conj().T) / int(gmask.sum())
 
-    def feasible_state(params):
-        return _enforce_energy(_state_from_params(params, d), F, E, ground_proj)
+    def feasible_states(g):
+        return _enforce_energy(_state_from_factors(g), F, E, ground_proj)
 
-    def start(r):
-        params = np.random.default_rng([cfg.seed, 1, r]).standard_normal(2 * d * d)
-        s = feasible_state(params)
-        return (params, s), hybrid._er_value(s, M)
+    def start():
+        params = np.stack([np.random.default_rng([cfg.seed, 1, r]).standard_normal(2 * d * d)
+                           for r in range(cfg.restarts)])
+        g = params[:, : d * d].reshape(-1, d, d) + 1j * params[:, d * d :].reshape(-1, d, d)
+        s = feasible_states(g)
+        return (g, s), hybrid._er_value(s, M)
+
+    # the 2d² coordinates of G as (row, column) of its (d, 2d) float view:
+    # Re G row by row, then Im G
+    coords = [divmod(c, 2 * d) for c in (*range(0, 2 * d * d, 2), *range(1, 2 * d * d, 2))]
 
     def sweep(point, value, step):
-        params, s = point
-        improved = False
-        for j in range(params.size):
-            for sign in (1.0, -1.0):
-                cand = params.copy()
-                cand[j] += sign * step
-                sc = feasible_state(cand)
+        g, s = point
+        improved = np.zeros(len(g), dtype=bool)
+        bar = value + 1e-14
+        deltas = (step, -step)
+        for i, k in coords:
+            for delta in deltas:
+                cand = g.copy()
+                cand.view(np.float64)[:, i, k] += delta
+                sc = feasible_states(cand)
                 v = hybrid._er_value(sc, M)
-                if v > value + 1e-14:
-                    params, value, s = cand, v, sc
-                    improved = True
-        return (params, s), value, improved
+                accept = v > bar
+                if np.count_nonzero(accept):
+                    np.copyto(g, cand, where=accept[:, None, None])
+                    np.copyto(s, sc, where=accept[:, None, None])
+                    np.copyto(value, v, where=accept)
+                    bar = value + 1e-14
+                    improved |= accept
+        return (g, s), value, improved
 
     res = _multistart(cfg, start, sweep, 1e-7)
     state = DensityOperator(res.argmax[1])

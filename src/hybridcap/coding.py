@@ -84,17 +84,24 @@ def _all_words(n: int, m: int) -> np.ndarray:
     if n * math.log2(m) > _ENUM_BITS:
         raise EnumerationTooLarge(
             f"{m}^{n} outcome words exceed the exact-enumeration guard (2^{_ENUM_BITS})")
-    return np.indices((m,) * n).reshape(n, -1).T
+    return np.indices((m,) * n, dtype=np.min_scalar_type(m - 1)).reshape(n, -1).T
 
 
 def _word_likelihoods(P: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """(N, n_words) likelihood of each word under each codeword's product law."""
-    return np.prod(P[:, np.arange(P.shape[1]), words], axis=2)
+    """(N, n_words) likelihood of each word under each codeword's product law.
+
+    Multiplied slot by slot in slot order, so no (N, n_words, n) array is built.
+    """
+    lik = P[:, 0, words[:, 0]]
+    for t in range(1, P.shape[1]):
+        lik *= P[:, t, words[:, t]]
+    return lik
 
 
-def _label_words(M: FinitePOVM, words: np.ndarray) -> list:
-    """Label tuples of (count, n) outcome index words."""
-    return list(map(tuple, np.array(M.labels, dtype=object)[words]))
+def _label_words(M: FinitePOVM, words: np.ndarray):
+    """Label tuples of (count, n) outcome index words, made 4096 words at a time."""
+    labels = np.array(M.labels, dtype=object)
+    return (w for k in range(0, len(words), 4096) for w in map(tuple, labels[words[k:k + 4096]]))
 
 
 def _sample_words(rng, P: np.ndarray, count: int):
@@ -161,6 +168,11 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
         raise ValueError("rate R must be positive")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    n_list = tuple(n_list)
+    for n in n_list:
+        if n * R > _ENUM_BITS:
+            raise ValueError(f"block length {n} at rate {R} needs 2^{n * R:g} codewords, "
+                             f"more than the 2^{_ENUM_BITS} limit")
     member_rows = np.stack([outcome_probs(s.matrix, M) for s in ensemble.states])
     member_rows[member_rows < 0.0] = 0.0
     member_rows /= member_rows.sum(axis=1, keepdims=True)

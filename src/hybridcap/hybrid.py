@@ -24,10 +24,8 @@ _LN2 = math.log(2.0)
 
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(v, dtype=float)
     mask = v > _EIG_EPS
-    out[mask] = v[mask] * np.log2(v[mask])
-    return out
+    return np.where(mask, v * np.log2(np.where(mask, v, 1.0)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ class FinitePOVM:
         return self._kernel_cache()[1]
 
     def _kernel_cache(self) -> tuple:
-        """(K, kernels()): K is the (m, d, d) stack of the kernels, each
+        """(K, kernels(), K†): K is the (m, d, d) stack of the kernels, each
         zero-padded back to d columns where its eigenvalues were dropped.
 
         Built from one batched eigendecomposition of the element stack.
@@ -114,7 +112,8 @@ class FinitePOVM:
             w, V = np.linalg.eigh((e + e.conj().transpose(0, 2, 1)) / 2.0)
             keep = w > _EIG_EPS
             K = V * np.sqrt(np.where(keep, w, 0.0))[:, None, :]
-            cached = (K, tuple(Kk[:, kk] for Kk, kk in zip(K, keep)))
+            cached = (K, tuple(Kk[:, kk] for Kk, kk in zip(K, keep)),
+                      K.conj().transpose(0, 2, 1))
             object.__setattr__(self, "_kernels", cached)
         return cached
 
@@ -348,20 +347,42 @@ def mutual_information(pi: Ensemble, M: FinitePOVM) -> float:
     return mutual_information_from_rows(pi.weights, P)
 
 
-def _divergences(weights: np.ndarray, P: np.ndarray, eps: float = _EIG_EPS) -> np.ndarray:
-    """Per-row D(P_x‖p̄) in bits, p̄ = weights @ P; entries <= eps count as 0."""
-    pbar = weights @ P
-    mask = (P > eps) & (pbar > eps)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(
-            mask, P * np.log2(np.maximum(P, 1e-300) / np.maximum(pbar, 1e-300)), 0.0
-        )
-    return terms.sum(axis=1)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Σ_i a_i b_i over the last axis, one BLAS dot per pair of broadcast rows.
+
+    Each result is bit-identical to the 1-D ``a @ b`` of its pair, whatever
+    the stack around it.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _row_parts(P: np.ndarray, eps: float):
+    """(P > eps, max(P, 1e-300)): the weight-independent parts of _divergences."""
+    return P > eps, np.maximum(P, 1e-300)
+
+
+def _divergences(weights: np.ndarray, P: np.ndarray, eps: float = _EIG_EPS,
+                 parts=None) -> np.ndarray:
+    """Per-row D(P_x‖p̄) in bits, p̄ = weights @ P; entries <= eps count as 0.
+
+    Works on stacks: weights (..., n) against rows (..., n, m).  ``parts``
+    is ``_row_parts(P, eps)`` when the caller reuses P across weights.
+    """
+    pos, P_floor = _row_parts(P, eps) if parts is None else parts
+    pbar = (weights[..., None, :] @ P)[..., 0, :]
+    mask = pos & (pbar > eps)[..., None, :]
+    ratio = P_floor / np.maximum(pbar, 1e-300)[..., None, :]
+    return np.where(mask, P * np.log2(ratio), 0.0).sum(axis=-1)
+
+
+def _mutual_informations(weights: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """I of each (weights, rows) pair of the stacks (..., n) and (..., n, m)."""
+    return np.maximum(_dots(weights, _divergences(weights, P)), 0.0)
 
 
 def mutual_information_from_rows(weights: np.ndarray, P: np.ndarray) -> float:
     """I from a (members, outcomes) conditional probability matrix."""
-    return max(float(weights @ _divergences(weights, P)), 0.0)
+    return float(_mutual_informations(np.asarray(weights, dtype=float), P))
 
 
 def chi_cq(weights, states) -> float:
@@ -383,22 +404,26 @@ def chi_cq(weights, states) -> float:
 
 
 def _posterior_grams(smatrix: np.ndarray, M: FinitePOVM):
-    """(p(ω), (m, d, d) stack of K_ω† S K_ω / p(ω)) over the padded kernels.
+    """(p(ω), (m, d, d) stack of K_ω† S K_ω / p(ω)) over the padded kernels,
+    with the restart axis of a stack (R, d, d) of S in front of both.
 
     Each matrix has the spectrum of the posterior state plus zeros from
     the padding; a zero-probability outcome (p <= 1e-12) gets the zero
     matrix.
     """
-    probs = outcome_probs(smatrix, M)
-    K = M._kernel_cache()[0]
-    scale = np.divide(1.0, probs, out=np.zeros_like(probs), where=probs > _EIG_EPS)
-    grams = K.conj().transpose(0, 2, 1) @ smatrix @ K
-    return probs, grams * scale[:, None, None]
+    if smatrix.ndim == 2:
+        probs = outcome_probs(smatrix, M)
+    else:  # one einsum per S: a stacked einsum sums in an order set by R
+        probs = np.array([outcome_probs(s, M) for s in smatrix])
+    K, _, KH = M._kernel_cache()
+    scale = (probs > _EIG_EPS) / np.maximum(probs, _EIG_EPS)
+    grams = KH @ smatrix[..., None, :, :] @ K
+    return probs, grams * scale[..., None, None]
 
 
 def _spectrum_entropies(w: np.ndarray) -> np.ndarray:
     """entropy_of_spectrum of each row of a stack of spectra."""
-    return np.maximum(-np.sum(_xlog2x(w), axis=-1), 0.0)
+    return np.maximum(-_xlog2x(w).sum(axis=-1), 0.0)
 
 
 def posterior_entropies(smatrix: np.ndarray, M: FinitePOVM):
@@ -407,19 +432,20 @@ def posterior_entropies(smatrix: np.ndarray, M: FinitePOVM):
     return probs, _spectrum_entropies(np.linalg.eigvalsh(grams))
 
 
-def _er_value(smatrix: np.ndarray, M: FinitePOVM) -> float:
-    """ER of a density matrix: one eigvalsh over the m posteriors and S."""
+def _er_value(smatrix: np.ndarray, M: FinitePOVM) -> np.ndarray:
+    """ER of a density matrix, or of each in a stack (R, d, d): one
+    eigvalsh over the m posteriors and S of every matrix."""
     probs, grams = _posterior_grams(smatrix, M)
     ents = _spectrum_entropies(
-        np.linalg.eigvalsh(np.concatenate([grams, smatrix[None]]))
+        np.linalg.eigvalsh(np.concatenate([grams, smatrix[..., None, :, :]], axis=-3))
     )
-    return float(ents[-1]) - float(np.sum(probs * ents[:-1]))
+    return ents[..., -1] - (probs * ents[..., :-1]).sum(axis=-1)
 
 
 def entropy_reduction(S: DensityOperator, M: FinitePOVM) -> float:
     """ER(S, M) = H_q(S) - Σ_ω p(ω) H_q(Ŝ(ω)) in bits."""
     _check_dims(S.dim, M.dim)
-    return _er_value(S.matrix, M)
+    return float(_er_value(S.matrix, M))
 
 
 def average_state(pi: Ensemble) -> DensityOperator:

@@ -27,7 +27,15 @@ from hybridcap import (
     mutual_information,
     vn_entropy,
 )
-from hybridcap.capacity import StepSchedule, _project_pure_feasible
+from hybridcap import hybrid
+from hybridcap.capacity import (
+    StepSchedule,
+    _ba_fixed_point,
+    _cond_rows,
+    _multistart,
+    _project_pure_feasible,
+    _state_from_factors,
+)
 from hybridcap.errors import InfeasibleEnergy
 
 TWO_LEVEL_E = 1.0 / (1.0 + math.e)  # Gibbs energy of F=diag(0,1) at beta=1
@@ -355,3 +363,82 @@ class TestMultistartResults:
         res = solver(M, cfg=OptimizerConfig(seed=0, restarts=2, max_iterations=1))
         assert not res.converged
         assert res.iterations_used == 2
+
+
+class TestLockstepRestarts:
+    """All restarts run in lockstep; none may see another."""
+
+    CFG = dict(seed=3, max_iterations=40, value_tolerance=1e-5,
+               step_schedule=StepSchedule(0.3, 0.4))
+
+    @staticmethod
+    def channel(kind):
+        if kind == "commuting":
+            return bsc_povm(0.8), None
+        M = random_povm(np.random.default_rng(11), 2, 3)
+        if kind == "constrained":
+            return M, EnergyConstraint(np.diag([0.0, 1.0]), 0.3)
+        return M, None
+
+    @pytest.mark.parametrize("solver", [classical_capacity, ea_capacity])
+    @pytest.mark.parametrize("kind", ["commuting", "non-commuting", "constrained"])
+    def test_restarts_independent_of_their_number(self, solver, kind):
+        M, c = self.channel(kind)
+        runs = [solver(M, c, OptimizerConfig(restarts=k, **self.CFG)) for k in (1, 2, 3)]
+        full = runs[-1].restart_values
+        assert len(full) == 3
+        for res in runs[:-1]:
+            k = len(res.restart_values)
+            assert np.max(np.abs(np.subtract(res.restart_values, full[:k]))) <= 1e-15
+        # each run counts the rounds of its own restarts only
+        rounds = np.diff([0] + [res.iterations_used for res in runs])
+        assert np.all((rounds >= 1) & (rounds <= self.CFG["max_iterations"]))
+        if kind == "non-commuting":
+            # these restarts stop at different rounds, all before the cap, so
+            # the ones that stop first sit frozen while the others go on
+            assert len(set(rounds.tolist())) == 3
+            assert rounds.max() < self.CFG["max_iterations"]
+
+    def test_stacked_kernels_match_single_restarts_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        M = random_povm(rng, 3, 4)
+        F = np.diag([0.0, 1.0, 2.0])
+        g = np.eye(3, dtype=complex)[:, 0]
+        R = 5
+        psis = rng.standard_normal((R, 5, 3)) + 1j * rng.standard_normal((R, 5, 3))
+        # restart 0 has five equal states, so its weights stop moving at once
+        # and it leaves the Blahut–Arimoto stack while the others go on
+        psis[0] = psis[0, 0]
+        proj = _project_pure_feasible(psis, F, 0.4, g)
+        P = _cond_rows(proj, M)
+        w = rng.dirichlet(np.ones(5), size=R)
+        fixed = _ba_fixed_point(w, P)
+        mi = hybrid._mutual_informations(w, P)
+        factors = rng.standard_normal((R, 3, 3)) + 1j * rng.standard_normal((R, 3, 3))
+        S = _state_from_factors(factors)
+        er = hybrid._er_value(S, M)
+        for r in range(R):
+            for x in range(5):
+                assert np.array_equal(proj[r, x], _project_pure_feasible(psis[r, x], F, 0.4, g))
+            assert np.array_equal(P[r], _cond_rows(proj[r], M))
+            assert np.array_equal(fixed[r], _ba_fixed_point(w[r:r + 1], P[r:r + 1])[0])
+            assert mi[r] == hybrid.mutual_information_from_rows(w[r], P[r])
+            assert np.array_equal(S[r], _state_from_factors(factors[r:r + 1])[0])
+            assert er[r] == hybrid._er_value(S[r], M)
+
+    def test_best_choice_keeps_lowest_restart_within_1e15(self):
+        # sequential "> best + 1e-15" over r = 0..R-1: restart 1 ties with 0,
+        # restart 2 beats 0, restart 3 ties with 2; argmax would pick 3
+        values = np.array([0.5, 0.5 + 8e-16, 0.5 + 1.6e-15, 0.5 + 2.2e-15])
+
+        def start():
+            return (np.arange(4.0),), values.copy()
+
+        def sweep(point, value, step):
+            return point, value, np.zeros(len(value), dtype=bool)
+
+        res = _multistart(OptimizerConfig(restarts=4, max_iterations=3), start, sweep, 1.0)
+        assert res.argmax == (2.0,)
+        assert res.value_bits == values[2]
+        assert res.restart_values == tuple(values)
+        assert res.iterations_used == 4 and res.converged

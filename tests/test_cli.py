@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,19 @@ class TestSubcommands:
             "--trials", "0",
         ]) == 2
         assert "trials" in capsys.readouterr().err
+
+    def test_code_sim_oversized_codebook_exit_2(self, full_file, capsys):
+        # 2^30 codewords at n = 30: rejected before anything is allocated
+        tracemalloc.start()
+        try:
+            code = main(["code-sim", full_file, "--rate", "1", "--nlist", "30",
+                         "--trials", "10"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "2^30 codewords" in capsys.readouterr().err
+        assert peak < 1e6
 
 
 class TestOpticsCurves:

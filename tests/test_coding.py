@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,23 @@ class TestMlPartition:
         book = Codebook((tuple([ket(2, 0)] * 25),))
         with pytest.raises(EnumerationTooLarge):
             ml_partition(book, z_povm())
+
+    def test_peak_memory_at_sixteen_slots(self):
+        # the (N, 2^16) likelihood array is 4.2 MB; an (N, 2^16, n) gather
+        # before the product would be 67 MB
+        rng = np.random.default_rng(5)
+        pool = (ket(2, 0), ket(2, 1), random_density(rng, 2))
+        book = Codebook(tuple(
+            tuple(pool[k] for k in rng.integers(3, size=16)) for _ in range(8)))
+        M = bsc_povm(0.8)
+        tracemalloc.start()
+        try:
+            part = ml_partition(book, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(part.assignment) == 2**16
+        assert peak < 20e6
 
 
 class TestAverageError:
@@ -216,6 +234,12 @@ class TestRateExperiment:
         ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
         with pytest.raises(ValueError, match="trials"):
             rate_experiment(z_povm(), ens, 0.5, [4], trials=0, seed=0)
+
+    def test_codebook_size_guard(self):
+        # N = 2^30 codewords at n = 30, R = 1; the guard allows N up to 2^20
+        ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
+        with pytest.raises(ValueError, match="2\\^30 codewords"):
+            rate_experiment(z_povm(), ens, 1.0, [4, 30], trials=10, seed=0)
 
     def test_same_seed_identical(self):
         ens = Ensemble([0.3, 0.7], (ket(2, 0), ket(2, 1)))
