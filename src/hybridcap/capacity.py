@@ -10,8 +10,13 @@ applies to C_ea too without changing when its restarts stop, unless the
 schedule starts below the floor.
 
 The restarts run in lockstep: every point, value and step carries a leading
-restart axis, each candidate move is scored for all running restarts with
-one stacked evaluation, and a restart that has stopped is frozen.  No
+restart axis, and a restart that has stopped is frozen.  Within a round
+each restart walks its candidate moves in a fixed order and accepts every
+one that beats its current value (``_walk``).  The walk scores a batch of
+each running restart's next candidates with one stacked evaluation and
+accepts the first that wins; the candidates after it are scored again from
+the new point.  Since every stacked kernel gives each entry the bits of a
+single call, the result is the one-at-a-time walk, bit for bit.  No
 restart sees another; the first k restart values are those of a run with k
 restarts.
 
@@ -62,8 +67,8 @@ class StepSchedule:
     decay: float = 0.5
 
     def __post_init__(self):
-        if self.initial <= 0.0 or not 0.0 < self.decay < 1.0:
-            raise ValueError("step schedule needs initial > 0 and 0 < decay < 1")
+        if not (0.0 < self.initial < math.inf and 0.0 < self.decay < 1.0):
+            raise ValueError("step schedule needs finite initial > 0 and 0 < decay < 1")
 
 
 @dataclass(frozen=True)
@@ -76,8 +81,9 @@ class OptimizerConfig:
     step_schedule: StepSchedule = field(default_factory=StepSchedule)
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iterations < 1 or self.value_tolerance <= 0:
-            raise ValueError("restarts, max_iterations, value_tolerance must be positive")
+        if self.restarts < 1 or self.max_iterations < 1 or not 0 < self.value_tolerance < math.inf:
+            raise ValueError("restarts, max_iterations, value_tolerance must be positive,"
+                             " value_tolerance finite")
         if self.ensemble_size_cap is not None and self.ensemble_size_cap < 1:
             raise ValueError("ensemble_size_cap must be >= 1")
 
@@ -298,6 +304,55 @@ def _multistart(cfg: OptimizerConfig, start, sweep, step_floor: float) -> Capaci
                           tuple(final_value.tolist()))
 
 
+def _walk(value: np.ndarray, valid: np.ndarray, score, commit) -> np.ndarray:
+    """One round of accept-as-you-go moves for every restart, scored in batches.
+
+    Restart r tries the candidates j with valid[r, j] in order, each from its
+    current point, and moves to every one that beats its value by 1e-14.
+    ``score(rows, j)`` builds candidate j[i] from the current point of
+    restart rows[i], for a flat batch over all running restarts, and gives
+    (values, built), built being a tuple of arrays over the batch;
+    ``commit(restarts, built)`` moves each restart to its row of built.
+
+    A restart's batch holds its next candidates: all that remain at the
+    start of a round, 2t after a batch whose t-th candidate was accepted,
+    twice as many after a batch without an accept.  The candidates up to the
+    first accept in a batch are scored from the point the one-at-a-time walk
+    scores them from, and those after it are scored again, from the new
+    point, in a later batch; every stacked kernel gives each entry the bits
+    of a single call, so the walk is the one-at-a-time walk, bit for bit.
+    Updates value in place and gives the restarts that moved.
+    """
+    n = valid.shape[1]
+    order = np.argsort(~valid, axis=1, kind="stable").ravel()  # valid candidates first
+    nxt = np.arange(0, order.size, n)  # flat position in order of each restart's next candidate
+    end = nxt + np.count_nonzero(valid, axis=1)
+    improved = np.zeros(len(value), dtype=bool)
+    live = np.flatnonzero(nxt < end)
+    nxt, end = nxt[live], end[live]
+    size = end - nxt
+    while live.size:
+        b = np.minimum(size, end - nxt)
+        starts = b.cumsum() - b
+        rows = live.repeat(b)
+        flat = np.arange(rows.size) + (nxt - starts).repeat(b)
+        v, built = score(rows, order[flat])
+        first = np.minimum.reduceat(np.where(v > value[rows] + 1e-14, flat, order.size), starts)
+        t = first - nxt
+        hit = t < b
+        if hit.any():
+            moved, pick = live[hit], (starts + t)[hit]
+            value[moved] = v[pick]
+            improved[moved] = True
+            commit(moved, tuple(a[pick] for a in built))
+        size = np.where(hit, 2 * t + 2, 2 * b)
+        nxt = np.where(hit, first + 1, nxt + b)
+        go = nxt < end
+        if not go.all():
+            live, nxt, end, size = live[go], nxt[go], end[go], size[go]
+    return improved
+
+
 # ---------------------------------------------------------------------------
 # Classical capacity (accessible-information objective)
 # ---------------------------------------------------------------------------
@@ -361,7 +416,9 @@ def classical_capacity(
     F, E, eig = _feasible(M, constraint)
     ground = None if eig is None else eig.eigenvectors[:, 0]
     cap = cfg.ensemble_size_cap if cfg.ensemble_size_cap is not None else M.size + 1
+    # candidate j moves member j // 4d along moves[j // 2 % 2d] with signs[j % 2]
     moves = np.vstack([np.eye(d), 1j * np.eye(d)])  # real and imaginary unit moves
+    signs = np.array([1.0, -1.0])
     mutual_informations = hybrid._mutual_informations
 
     def start():
@@ -378,25 +435,23 @@ def classical_capacity(
         w, psis, P = point
         w = _ba_fixed_point(w, P)
         value = mutual_informations(w, P)
-        improved = np.zeros(len(w), dtype=bool)
-        for x in range(cap):
-            live = ~(w[:, x] < 1e-12)
-            if not np.count_nonzero(live):
-                continue
-            for move in moves:
-                delta = step[:, None] * move
-                for sign in (1.0, -1.0):
-                    cand = _project_pure_feasible(psis[:, x] + sign * delta, F, E, ground)
-                    rows = _cond_rows(cand, M)
-                    P_try = P.copy()
-                    P_try[:, x] = rows
-                    v_try = mutual_informations(w, P_try)
-                    accept = live & (v_try > value + 1e-14)
-                    if np.count_nonzero(accept):
-                        np.copyto(psis[:, x], cand, where=accept[:, None])
-                        np.copyto(P[:, x], rows, where=accept[:, None])
-                        np.copyto(value, v_try, where=accept)
-                        improved |= accept
+
+        def score(rows, j):
+            x, k = np.divmod(j, 4 * d)
+            delta = step[rows, None] * moves[k // 2]
+            cand = _project_pure_feasible(psis[rows, x] + signs[k % 2, None] * delta,
+                                          F, E, ground)
+            cond = _cond_rows(cand, M)
+            P_try = P[rows]
+            P_try[np.arange(rows.size), x] = cond
+            return mutual_informations(w[rows], P_try), (x, cand, cond)
+
+        def commit(r, built):
+            x, cand, cond = built
+            psis[r, x], P[r, x] = cand, cond
+
+        live = ~(w < 1e-12)  # members of negligible weight do not move
+        improved = _walk(value, np.repeat(live, 4 * d, axis=1), score, commit)
         w = _ba_fixed_point(w, P)
         return (w, psis, P), mutual_informations(w, P), improved
 
@@ -487,28 +542,25 @@ def ea_capacity(
         s = feasible_states(g)
         return (g, s), hybrid._er_value(s, M)
 
-    # the 2d² coordinates of G as (row, column) of its (d, 2d) float view:
-    # Re G row by row, then Im G
-    coords = [divmod(c, 2 * d) for c in (*range(0, 2 * d * d, 2), *range(1, 2 * d * d, 2))]
+    # candidate j moves G by signs[j] * step at entry coords[j] of its flat
+    # float view: Re G row by row, then Im G, each entry + then -
+    coords = np.repeat(np.r_[0:2 * d * d:2, 1:2 * d * d:2], 2)
+    signs = np.tile([1.0, -1.0], 2 * d * d)
 
     def sweep(point, value, step):
         g, s = point
-        improved = np.zeros(len(g), dtype=bool)
-        bar = value + 1e-14
-        deltas = (step, -step)
-        for i, k in coords:
-            for delta in deltas:
-                cand = g.copy()
-                cand.view(np.float64)[:, i, k] += delta
-                sc = feasible_states(cand)
-                v = hybrid._er_value(sc, M)
-                accept = v > bar
-                if np.count_nonzero(accept):
-                    np.copyto(g, cand, where=accept[:, None, None])
-                    np.copyto(s, sc, where=accept[:, None, None])
-                    np.copyto(value, v, where=accept)
-                    bar = value + 1e-14
-                    improved |= accept
+
+        def score(rows, j):
+            cand = g[rows]
+            cand.view(np.float64).reshape(rows.size, -1)[np.arange(rows.size), coords[j]] += (
+                signs[j] * step[rows])
+            sc = feasible_states(cand)
+            return hybrid._er_value(sc, M), (cand, sc)
+
+        def commit(r, built):
+            g[r], s[r] = built
+
+        improved = _walk(value, np.ones((len(g), 4 * d * d), dtype=bool), score, commit)
         return (g, s), value, improved
 
     res = _multistart(cfg, start, sweep, 1e-7)

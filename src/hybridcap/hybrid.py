@@ -405,7 +405,7 @@ def chi_cq(weights, states) -> float:
 
 def _posterior_grams(smatrix: np.ndarray, M: FinitePOVM):
     """(p(ω), (m, d, d) stack of K_ω† S K_ω / p(ω)) over the padded kernels,
-    with the restart axis of a stack (R, d, d) of S in front of both.
+    with the stack axes of a stack (..., d, d) of S in front of both.
 
     Each matrix has the spectrum of the posterior state plus zeros from
     the padding; a zero-probability outcome (p <= 1e-12) gets the zero
@@ -413,8 +413,11 @@ def _posterior_grams(smatrix: np.ndarray, M: FinitePOVM):
     """
     if smatrix.ndim == 2:
         probs = outcome_probs(smatrix, M)
-    else:  # one einsum per S: a stacked einsum sums in an order set by R
-        probs = np.array([outcome_probs(s, M) for s in smatrix])
+    else:  # one einsum per outcome over the flat stack, each entry summed as
+        # outcome_probs sums it; "kij,...ji->...k" sums in an order set by the stack
+        flat = smatrix.reshape(-1, *smatrix.shape[-2:])
+        probs = np.real(np.stack([np.einsum("ij,rji->r", Mk, flat) for Mk in M.elements],
+                                 axis=-1)).reshape(*smatrix.shape[:-2], -1)
     K, _, KH = M._kernel_cache()
     scale = (probs > _EIG_EPS) / np.maximum(probs, _EIG_EPS)
     grams = KH @ smatrix[..., None, :, :] @ K
@@ -433,7 +436,7 @@ def posterior_entropies(smatrix: np.ndarray, M: FinitePOVM):
 
 
 def _er_value(smatrix: np.ndarray, M: FinitePOVM) -> np.ndarray:
-    """ER of a density matrix, or of each in a stack (R, d, d): one
+    """ER of a density matrix, or of each in a stack (..., d, d): one
     eigvalsh over the m posteriors and S of every matrix."""
     probs, grams = _posterior_grams(smatrix, M)
     ents = _spectrum_entropies(

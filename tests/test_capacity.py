@@ -384,20 +384,23 @@ class TestLockstepRestarts:
     @pytest.mark.parametrize("kind", ["commuting", "non-commuting", "constrained"])
     def test_restarts_independent_of_their_number(self, solver, kind):
         M, c = self.channel(kind)
-        runs = [solver(M, c, OptimizerConfig(restarts=k, **self.CFG)) for k in (1, 2, 3)]
+        # 8 (the CLI default): restarts accept at different offsets of one batch
+        ks = (1, 2, 3, 8)
+        runs = [solver(M, c, OptimizerConfig(restarts=k, **self.CFG)) for k in ks]
         full = runs[-1].restart_values
-        assert len(full) == 3
+        assert len(full) == 8
         for res in runs[:-1]:
             k = len(res.restart_values)
             assert np.max(np.abs(np.subtract(res.restart_values, full[:k]))) <= 1e-15
         # each run counts the rounds of its own restarts only
         rounds = np.diff([0] + [res.iterations_used for res in runs])
-        assert np.all((rounds >= 1) & (rounds <= self.CFG["max_iterations"]))
+        added = np.diff((0,) + ks)
+        assert np.all((rounds >= added) & (rounds <= added * self.CFG["max_iterations"]))
         if kind == "non-commuting":
-            # these restarts stop at different rounds, all before the cap, so
-            # the ones that stop first sit frozen while the others go on
-            assert len(set(rounds.tolist())) == 3
-            assert rounds.max() < self.CFG["max_iterations"]
+            # the first three restarts stop at different rounds, all before
+            # the cap, so the ones that stop first sit frozen while the others go on
+            assert len(set(rounds[:3].tolist())) == 3
+            assert rounds[:3].max() < self.CFG["max_iterations"]
 
     def test_stacked_kernels_match_single_restarts_bit_for_bit(self):
         rng = np.random.default_rng(21)
@@ -442,3 +445,47 @@ class TestLockstepRestarts:
         assert res.value_bits == values[2]
         assert res.restart_values == tuple(values)
         assert res.iterations_used == 4 and res.converged
+
+
+class TestOneAtATimeWalk:
+    """Batched candidate scoring reproduces the one-at-a-time walk exactly."""
+
+    # float.hex of restart_values, iterations_used, converged, as returned
+    # when every candidate move was scored by its own call; the bits are
+    # those of one NumPy/BLAS/LAPACK build
+    GOLDEN = {
+        ("classical", 1): (["0x1.8186827a92436p-4"], 40, False),
+        ("classical", 3): (["0x1.8186827a92436p-4", "0x1.8186827a93ac3p-4",
+                            "0x1.8186827a5fb82p-4"], 120, False),
+        ("classical-constrained", 1): (["0x1.26eb9c063f956p-4"], 39, True),
+        ("classical-constrained", 3): (["0x1.26eb9c063f956p-4", "0x1.26eb54af04c02p-4",
+                                        "0x1.26eb9c062a2f9p-4"], 119, True),
+        ("ea", 1): (["0x1.bb55cdff4c93dp-1"], 12, False),
+        ("ea", 3): (["0x1.bb55cdff4c93dp-1", "0x1.bb522e8064d7fp-1",
+                     "0x1.bb563eabb5ee1p-1"], 36, False),
+    }
+
+    @pytest.mark.parametrize("name,restarts", sorted(GOLDEN))
+    def test_results_match_one_at_a_time_walk_bit_for_bit(self, name, restarts):
+        M2 = random_povm(np.random.default_rng(31), 2, 3)
+        M3 = random_povm(np.random.default_rng(32), 3, 3)
+        solver, M, c, iterations = {
+            "classical": (classical_capacity, M2, None, 40),
+            "classical-constrained": (classical_capacity, M2,
+                                      EnergyConstraint(np.diag([0.0, 1.0]), 0.3), 40),
+            "ea": (ea_capacity, M3, None, 12),
+        }[name]
+        res = solver(M, c, OptimizerConfig(seed=5, restarts=restarts, max_iterations=iterations))
+        got = ([v.hex() for v in res.restart_values], res.iterations_used, res.converged)
+        assert got == self.GOLDEN[name, restarts]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("make", [
+        lambda x: OptimizerConfig(value_tolerance=x),
+        lambda x: StepSchedule(x, 0.5),
+    ], ids=["value_tolerance", "initial_step"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_rejected(self, make, x):
+        with pytest.raises(ValueError, match="finite"):
+            make(x)

@@ -146,6 +146,10 @@ class TestSubcommands:
         assert main(["capacity", z_file, "--restarts", "2"]) == 0
         assert "C = 1.000000 bits" in capsys.readouterr().out
 
+    def test_capacity_nan_tolerance_exit_2(self, z_file, capsys):
+        assert main(["capacity", z_file, "--tol", "nan"]) == 2
+        assert "value_tolerance" in capsys.readouterr().err
+
     def test_ea_pure_path(self, z_file, capsys):
         assert main(["ea", z_file]) == 0
         out = capsys.readouterr().out

@@ -43,7 +43,8 @@ from hybridcap.errors import (
     NonHermitianInput,
     ZeroProbabilityOutcome,
 )
-from hybridcap.hybrid import posterior_entropies
+from hybridcap import hybrid
+from hybridcap.hybrid import outcome_probs, posterior_entropies
 
 H2_QUARTER = 0.8112781244591328  # binary entropy of 1/4
 
@@ -388,6 +389,26 @@ class TestPosteriorEntropies:
         assert ents[0] == 0.0
         assert abs(ents[1] - 1.0) <= 1e-10
         assert abs(ents[1] - explicit_entropy(S, M, 1)) <= 1e-10
+
+
+class TestPosteriorGramStacks:
+    """Stacks of states: every entry gets the bits of its own single call."""
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)])
+    def test_stack_matches_single_calls_bit_for_bit(self, shape):
+        rng = np.random.default_rng([71, len(shape)])
+        for d, m in ((2, 2), (2, 4), (3, 3), (3, 4)):
+            M = random_povm(rng, d, m)
+            g = rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
+            S = g @ np.swapaxes(g.conj(), -1, -2)
+            S /= np.trace(S, axis1=-2, axis2=-1).real[..., None, None]
+            probs, grams = hybrid._posterior_grams(S, M)
+            er = hybrid._er_value(S, M)
+            assert probs.shape == shape + (m,) and grams.shape == shape + (m, d, d)
+            for idx in np.ndindex(*shape):
+                assert np.array_equal(probs[idx], outcome_probs(S[idx], M))
+                assert np.array_equal(grams[idx], hybrid._posterior_grams(S[idx], M)[1])
+                assert er[idx] == hybrid._er_value(S[idx], M)
 
 
 class TestValidation:
