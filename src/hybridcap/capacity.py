@@ -1,13 +1,10 @@
 """Capacity optimizers and the constrained maximum-entropy (Gibbs) solver.
 
-Both capacities are maximized by one multi-start pattern search
+The classical capacity is maximized by a multi-start pattern search
 (``_multistart``): each restart, seeded deterministically, runs rounds of ±
 coordinate moves.  A round that improves nothing multiplies the step by the
-schedule's decay; a restart converges once the step is below a floor (1e-6
-for C, 1e-7 for C_ea) and the round gained less than ``value_tolerance``.
-A C_ea round that improves nothing gains exactly 0, so the tolerance
-applies to C_ea too without changing when its restarts stop, unless the
-schedule starts below the floor.
+schedule's decay; a restart converges once the step is below 1e-6 and the
+round gained less than ``value_tolerance``.
 
 The restarts run in lockstep: every point, value and step carries a leading
 restart axis, and a restart that has stopped is frozen.  Within a round
@@ -29,13 +26,16 @@ taken in closed form.
 
 Entanglement-assisted capacity: for pure (rank-1) POVMs the value is the
 maximum von Neumann entropy over the feasible set, i.e. the Gibbs-state
-entropy under an energy constraint and log₂ d without one; otherwise the
-entropy reduction is maximized directly over density operators
-S = G†G / Tr G†G.
+entropy under an energy constraint and log₂ d without one.  Otherwise ER,
+which is concave in S, is maximized by one exponentiated-gradient ascent
+(``_ascent``) from the maximum-entropy feasible state.  Each step bounds
+C_ea from above by a duality gap; ``converged`` means that this certified
+gap is <= ``value_tolerance``.  The ascent draws no random numbers, so
+``seed``, ``restarts`` and ``step_schedule`` do not affect C_ea.
 
 Returned values are always realized by the returned argmax, so they are
 valid lower bounds on the corresponding suprema even when the search stops
-before the improvement tolerance is met (converged=False).
+before its tolerance is met (converged=False).
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ from .hybrid import (
 )
 
 _LN2 = math.log(2.0)
+# C_ea ascent step, in nats: of 150 random POVMs (d 2–4, m 2–5) it certifies
+# 149 within 200 steps, against 145 at 1, 147 at 2 and 93 at 3
+_ETA = 1.5
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,29 @@ def _gibbs_from_beta(f: np.ndarray, beta: float):
     return w, energy, ent, ln_c
 
 
+def _decreasing_root(energy, E: float, tol: float, hi: float = 1.0) -> float:
+    """β > 0 with |energy(β) − E| <= tol for an energy strictly decreasing in β,
+    energy(0) > E: hi doubles until energy(hi) <= E, then [0, hi] is bisected."""
+    lo = 0.0
+    while energy(hi) > E:
+        hi *= 2.0
+        if hi > 2.0**60:
+            raise BracketFailure(
+                "beta bracket exceeded 2^60; E is numerically at the ground energy, "
+                "the boundary (ground) state applies"
+            )
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        e = energy(mid)
+        if abs(e - E) <= tol:
+            return mid
+        if e > E:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def gibbs_state(F, E: float) -> GibbsSolution:
     """Solve Tr S_β F = E for the Gibbs state S_β = exp(-βF)/Tr exp(-βF).
 
@@ -132,7 +158,11 @@ def gibbs_state(F, E: float) -> GibbsSolution:
     Otherwise β is found by bracketing + bisection, using the strict
     monotone decrease of the mean energy in β.
     """
-    eig = qmat.herm_eig(F)
+    return _gibbs(qmat.herm_eig(F), E)
+
+
+def _gibbs(eig: qmat.HermEigResult, E: float) -> GibbsSolution:
+    """gibbs_state from the eigendecomposition of F."""
     f = eig.eigenvalues
     V = eig.eigenvectors
     d = f.shape[0]
@@ -158,26 +188,8 @@ def gibbs_state(F, E: float) -> GibbsSolution:
         return GibbsSolution(
             math.inf, DensityOperator(mat), float(w @ f), math.log2(k), -math.inf
         )
-
     tol = 1e-10 * max(1.0, abs(E))
-    lo, hi = 0.0, 1.0
-    while _gibbs_from_beta(f, hi)[1] > E:
-        hi *= 2.0
-        if hi > 2.0**60:
-            raise BracketFailure(
-                "beta bracket exceeded 2^60; E is numerically at the ground energy, "
-                "the boundary (ground) state applies"
-            )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        energy = _gibbs_from_beta(f, mid)[1]
-        if abs(energy - E) <= tol:
-            return build(mid)
-        if energy > E:
-            lo = mid
-        else:
-            hi = mid
-    return build(0.5 * (lo + hi))
+    return build(_decreasing_root(lambda b: _gibbs_from_beta(f, b)[1], E, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +254,7 @@ def _ba_fixed_point(W: np.ndarray, P: np.ndarray, steps: int = 300) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Multi-start pattern search shared by both capacities
+# Multi-start pattern search (classical capacity)
 # ---------------------------------------------------------------------------
 
 def _feasible(M: FinitePOVM, constraint: EnergyConstraint | None):
@@ -258,7 +270,7 @@ def _feasible(M: FinitePOVM, constraint: EnergyConstraint | None):
     return F, E, eig
 
 
-def _multistart(cfg: OptimizerConfig, start, sweep, step_floor: float) -> CapacityResult:
+def _multistart(cfg: OptimizerConfig, start, sweep) -> CapacityResult:
     """Best of cfg.restarts pattern searches run in lockstep; argmax is the best raw point.
 
     A point is a tuple of arrays whose leading axis is the restart.
@@ -284,7 +296,7 @@ def _multistart(cfg: OptimizerConfig, start, sweep, step_floor: float) -> Capaci
         point, new_value, improved = sweep(point, value.copy(), step)
         gain, value = new_value - value, new_value
         step = np.where(improved, step, step * cfg.step_schedule.decay)
-        stop = (step < step_floor) & (gain < cfg.value_tolerance)
+        stop = (step < 1e-6) & (gain < cfg.value_tolerance)
         if np.count_nonzero(stop):
             converged[running[stop]] = True
             record(running[stop], stop)
@@ -455,7 +467,7 @@ def classical_capacity(
         w = _ba_fixed_point(w, P)
         return (w, psis, P), mutual_informations(w, P), improved
 
-    res = _multistart(cfg, start, sweep, 1e-6)
+    res = _multistart(cfg, start, sweep)
     w, psis, _ = res.argmax
     keep = w > 1e-9
     states = tuple(DensityOperator(np.outer(v, v.conj())) for v in psis[keep])
@@ -474,34 +486,59 @@ def is_pure_povm(M: FinitePOVM, tol: float = 1e-10) -> bool:
     return not np.any(w[:, :-1] >= tol)
 
 
-def _state_from_factors(g: np.ndarray) -> np.ndarray:
-    """S = G†G / Tr G†G for each G of a stack (R, d, d); I/d where Tr G†G < 1e-14."""
-    s = g.conj().transpose(0, 2, 1) @ g
-    tr = s.trace(axis1=1, axis2=2).real
-    small = tr < 1e-14
-    if np.count_nonzero(small):
-        d = g.shape[-1]
-        s[small] = np.eye(d)
-        tr[small] = d
-    s /= tr[:, None, None]
-    return (s + s.conj().transpose(0, 2, 1)) / 2.0
+def _exp_state(H: np.ndarray):
+    """(h, U): H = U diag(h) U†, h shifted so that U diag(e^h) U† has unit trace."""
+    h, U = np.linalg.eigh(H)
+    return h - (h[-1] + math.log(np.exp(h - h[-1]).sum())), U
 
 
-def _enforce_energy(s: np.ndarray, F, E, ground_proj) -> np.ndarray:
-    """Mix each state of a stack (R, d, d) toward the normalized ground
-    projector until Tr SF <= E."""
-    if F is None:
-        return s
-    e_s = (s @ F).trace(axis1=1, axis2=2).real
-    over = e_s > E + 1e-12
-    if not np.count_nonzero(over):
-        return s
-    e_g = float(np.real(np.trace(ground_proj @ F)))
-    t = (e_s[over] - E) / (e_s[over] - e_g)  # energy is linear in the mixing weight
-    t = np.clip(t, 0.0, 1.0)[:, None, None]
-    s = s.copy()
-    s[over] = (1.0 - t) * s[over] + t * ground_proj
-    return s
+def _ascent(M: FinitePOVM, cfg: OptimizerConfig, F=None, E=None, etol=0.0):
+    """Exponentiated-gradient ascent of ER from the maximum-entropy feasible state.
+
+    The iterate S is kept as the eigenpairs of ln S.  A step takes the
+    gradient ∇ = Σ_ω K_ω ln(Ĝ_ω) K_ω† − ln S of ER (in nats, the log of each
+    posterior Gram Ĝ_ω taken on its support) and moves to
+    S ∝ exp(ln S + η(∇ − μF)), μ >= 0 the least multiplier that puts Tr SF
+    in [E − 2·etol, E].  ER is concave, so by weak duality, for any μ >= 0,
+    C_ea − ER(S) <= (μE + λ_max(∇ − μF) − Tr S∇) / ln 2 bits.  The ascent
+    stops once that gap is <= value_tolerance, or after max_iterations
+    steps, and gives (the best S, steps, converged).
+    """
+    K = M._kernel_cache()[0]
+
+    def energy(h, U):
+        return float(np.exp(h) @ np.real((U.conj() * (F @ U)).sum(axis=0)))
+
+    def tilt(A, hi):
+        """(h, U, μ) of S ∝ exp(A − ημF) at the least feasible μ >= 0."""
+        h, U = _exp_state(A)
+        if F is None or energy(h, U) <= E:
+            return h, U, 0.0
+        beta = _decreasing_root(lambda b: energy(*_exp_state(A - b * F)), E - etol, etol, hi)
+        return (*_exp_state(A - beta * F), beta / _ETA)
+
+    h, U, mu = tilt(np.zeros((M.dim, M.dim)), 1.0)
+    best, best_value, converged = None, -math.inf, False
+    for steps in range(1, cfg.max_iterations + 1):
+        s = np.exp(h)
+        S, log_s = (U * s) @ U.conj().T, (U * h) @ U.conj().T
+        probs, grams = hybrid._posterior_grams(S, M)
+        w, V = np.linalg.eigh(grams)
+        value = float(hybrid._spectrum_entropies(s) - probs @ hybrid._spectrum_entropies(w))
+        if value > best_value:
+            best, best_value = S, value
+        B = K @ V
+        logs = np.log(np.where(w > 0.0, w, 1.0))
+        grad = ((B * logs[:, None, :]) @ B.conj().transpose(0, 2, 1)).sum(axis=0) - log_s
+        # the multiplier of this step's update also serves its certificate
+        h, U, mu = tilt(log_s + _ETA * grad, 2.0 * _ETA * mu or 1.0)
+        dual = np.linalg.eigvalsh(grad if F is None else grad - mu * F)[-1]
+        if F is not None:
+            dual += mu * E
+        if (dual - np.real(np.sum(S.T * grad))) / _LN2 <= cfg.value_tolerance:
+            converged = True
+            break
+    return best, steps, converged
 
 
 def ea_capacity(
@@ -512,8 +549,9 @@ def ea_capacity(
 
     Pure (rank-1) POVMs short-circuit to the maximum-entropy value: the
     Gibbs-state entropy when an energy constraint is present, log₂ d
-    otherwise.  General POVMs are handled by multi-start pattern search over
-    density operators S = G†G / Tr G†G.
+    otherwise.  General POVMs are handled by one concave ascent
+    (``_ascent``); with E at the ground energy of F it runs over the ground
+    eigenspace, the only feasible states.
     """
     d = M.dim
     F, E, eig = _feasible(M, constraint)
@@ -522,47 +560,18 @@ def ea_capacity(
             state = DensityOperator(np.eye(d) / d)
             value = math.log2(d)
         else:
-            sol = gibbs_state(F, E)
+            sol = _gibbs(eig, E)
             state, value = sol.state, sol.entropy_bits
         return CapacityResult(value, state, 0, True, (value,))
 
-    ground_proj = None
-    if eig is not None:
-        gmask = eig.eigenvalues <= eig.eigenvalues[0] + 1e-9
-        Vg = eig.eigenvectors[:, gmask]
-        ground_proj = (Vg @ Vg.conj().T) / int(gmask.sum())
-
-    def feasible_states(g):
-        return _enforce_energy(_state_from_factors(g), F, E, ground_proj)
-
-    def start():
-        params = np.stack([np.random.default_rng([cfg.seed, 1, r]).standard_normal(2 * d * d)
-                           for r in range(cfg.restarts)])
-        g = params[:, : d * d].reshape(-1, d, d) + 1j * params[:, d * d :].reshape(-1, d, d)
-        s = feasible_states(g)
-        return (g, s), hybrid._er_value(s, M)
-
-    # candidate j moves G by signs[j] * step at entry coords[j] of its flat
-    # float view: Re G row by row, then Im G, each entry + then -
-    coords = np.repeat(np.r_[0:2 * d * d:2, 1:2 * d * d:2], 2)
-    signs = np.tile([1.0, -1.0], 2 * d * d)
-
-    def sweep(point, value, step):
-        g, s = point
-
-        def score(rows, j):
-            cand = g[rows]
-            cand.view(np.float64).reshape(rows.size, -1)[np.arange(rows.size), coords[j]] += (
-                signs[j] * step[rows])
-            sc = feasible_states(cand)
-            return hybrid._er_value(sc, M), (cand, sc)
-
-        def commit(r, built):
-            g[r], s[r] = built
-
-        improved = _walk(value, np.ones((len(g), 4 * d * d), dtype=bool), score, commit)
-        return (g, s), value, improved
-
-    res = _multistart(cfg, start, sweep, 1e-7)
-    state = DensityOperator(res.argmax[1])
-    return replace(res, value_bits=hybrid.entropy_reduction(state, M), argmax=state)
+    if F is not None and E <= eig.eigenvalues[0] + 1e-12:
+        V = eig.eigenvectors[:, eig.eigenvalues <= eig.eigenvalues[0] + 1e-12]
+        sub = FinitePOVM(M.labels, V.conj().T @ M.elements @ V)
+        S, steps, converged = _ascent(sub, cfg)
+        S = V @ S @ V.conj().T
+    else:
+        etol = 0.0 if F is None else min(1e-10 * max(1.0, E), (E - eig.eigenvalues[0]) / 4.0)
+        S, steps, converged = _ascent(M, cfg, F, E, etol)
+    state = DensityOperator((S + S.conj().T) / 2.0)
+    value = hybrid.entropy_reduction(state, M)
+    return CapacityResult(value, state, steps, converged, (value,))

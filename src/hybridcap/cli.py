@@ -290,12 +290,12 @@ def cmd_ea(args) -> int:
     cfg = _resolve_config(args, spec)
     result = cap.ea_capacity(spec.povm, spec.constraint, cfg)
     print(f"C_ea = {result.value_bits:.6f} bits")
-    # only the rank-1 Gibbs path runs zero rounds: the pattern search runs
-    # at least one (restarts >= 1 and max_iterations >= 1)
+    # only the rank-1 Gibbs path takes zero steps: the ascent takes at least
+    # one (max_iterations >= 1)
     if result.iterations_used == 0:
         print("path: gibbs (rank-1 POVM)")
     else:
-        print(f"path: pattern search; iterations: {result.iterations_used}; "
+        print(f"path: concave ascent; steps: {result.iterations_used}; "
               f"converged: {result.converged}")
     return _finish_capacity(args, result)
 

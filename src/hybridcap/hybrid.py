@@ -404,24 +404,16 @@ def chi_cq(weights, states) -> float:
 
 
 def _posterior_grams(smatrix: np.ndarray, M: FinitePOVM):
-    """(p(ω), (m, d, d) stack of K_ω† S K_ω / p(ω)) over the padded kernels,
-    with the stack axes of a stack (..., d, d) of S in front of both.
+    """(p(ω), (m, d, d) stack of K_ω† S K_ω / p(ω)) over the padded kernels.
 
     Each matrix has the spectrum of the posterior state plus zeros from
     the padding; a zero-probability outcome (p <= 1e-12) gets the zero
     matrix.
     """
-    if smatrix.ndim == 2:
-        probs = outcome_probs(smatrix, M)
-    else:  # one einsum per outcome over the flat stack, each entry summed as
-        # outcome_probs sums it; "kij,...ji->...k" sums in an order set by the stack
-        flat = smatrix.reshape(-1, *smatrix.shape[-2:])
-        probs = np.real(np.stack([np.einsum("ij,rji->r", Mk, flat) for Mk in M.elements],
-                                 axis=-1)).reshape(*smatrix.shape[:-2], -1)
+    probs = outcome_probs(smatrix, M)
     K, _, KH = M._kernel_cache()
     scale = (probs > _EIG_EPS) / np.maximum(probs, _EIG_EPS)
-    grams = KH @ smatrix[..., None, :, :] @ K
-    return probs, grams * scale[..., None, None]
+    return probs, (KH @ smatrix @ K) * scale[:, None, None]
 
 
 def _spectrum_entropies(w: np.ndarray) -> np.ndarray:
@@ -429,26 +421,16 @@ def _spectrum_entropies(w: np.ndarray) -> np.ndarray:
     return np.maximum(-_xlog2x(w).sum(axis=-1), 0.0)
 
 
-def posterior_entropies(smatrix: np.ndarray, M: FinitePOVM):
-    """(p(ω), H_q(posterior ω)) pairs; zero-probability outcomes carry H = 0."""
-    probs, grams = _posterior_grams(smatrix, M)
-    return probs, _spectrum_entropies(np.linalg.eigvalsh(grams))
-
-
-def _er_value(smatrix: np.ndarray, M: FinitePOVM) -> np.ndarray:
-    """ER of a density matrix, or of each in a stack (..., d, d): one
-    eigvalsh over the m posteriors and S of every matrix."""
-    probs, grams = _posterior_grams(smatrix, M)
-    ents = _spectrum_entropies(
-        np.linalg.eigvalsh(np.concatenate([grams, smatrix[..., None, :, :]], axis=-3))
-    )
-    return ents[..., -1] - (probs * ents[..., :-1]).sum(axis=-1)
-
-
 def entropy_reduction(S: DensityOperator, M: FinitePOVM) -> float:
-    """ER(S, M) = H_q(S) - Σ_ω p(ω) H_q(Ŝ(ω)) in bits."""
+    """ER(S, M) = H_q(S) - Σ_ω p(ω) H_q(Ŝ(ω)) in bits.
+
+    One eigvalsh over the m posterior Gram matrices and S; zero-probability
+    outcomes carry H = 0.
+    """
     _check_dims(S.dim, M.dim)
-    return float(_er_value(S.matrix, M))
+    probs, grams = _posterior_grams(S.matrix, M)
+    ents = _spectrum_entropies(np.linalg.eigvalsh(np.concatenate([grams, S.matrix[None]])))
+    return float(ents[-1] - (probs * ents[:-1]).sum())
 
 
 def average_state(pi: Ensemble) -> DensityOperator:

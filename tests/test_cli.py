@@ -237,6 +237,23 @@ class TestSeedsAndDeterminism:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_ea_ascent_reruns_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(5)
+        mats = [g @ g.conj().T for g in rng.standard_normal((3, 2, 2))
+                + 1j * rng.standard_normal((3, 2, 2))]
+        w, V = np.linalg.eigh(sum(mats))
+        W = (V / np.sqrt(w)) @ V.conj().T
+        spec = {"dim": 2, "povm": [{"label": str(k), **mat(W @ A @ W)}
+                                   for k, A in enumerate(mats)]}
+        args = ["ea", write_spec(tmp_path, spec)]
+        a = run_cli(args)
+        b = run_cli(args)
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout and a.stderr == b.stderr
+        path = a.stdout.splitlines()[1]
+        assert path.startswith("path: concave ascent; steps: ")
+        assert path.endswith("; converged: True")
+
     def test_flag_beats_env(self, full_file, capsys, monkeypatch):
         monkeypatch.setenv("HYBRIDCAP_SEED", "11")
         main(["code-sim", full_file, "--rate", "0.5", "--nlist", "4",

@@ -43,8 +43,6 @@ from hybridcap.errors import (
     NonHermitianInput,
     ZeroProbabilityOutcome,
 )
-from hybridcap import hybrid
-from hybridcap.hybrid import outcome_probs, posterior_entropies
 
 H2_QUARTER = 0.8112781244591328  # binary entropy of 1/4
 
@@ -364,6 +362,8 @@ def explicit_entropy(S, M, k):
 
 
 class TestPosteriorEntropies:
+    """ER from the padded kernel stack against explicit posterior states."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_explicit_posteriors(self, seed):
         # rank-deficient elements pad their kernels with zero columns
@@ -371,12 +371,11 @@ class TestPosteriorEntropies:
         d = int(rng.integers(3, 5))
         M = povm_with_ranks(rng, d, [1, 2, d, d - 1])
         S = random_density(rng, d)
-        probs, ents = posterior_entropies(S.matrix, M)
-        np.testing.assert_allclose(
-            probs, [np.real(np.trace(S.matrix @ e)) for e in M.elements], atol=1e-12
+        explicit = vn_entropy(S) - sum(
+            float(np.real(np.trace(S.matrix @ M.elements[k]))) * explicit_entropy(S, M, k)
+            for k in range(M.size)
         )
-        for k in range(M.size):
-            assert abs(ents[k] - explicit_entropy(S, M, k)) <= 1e-10
+        assert abs(entropy_reduction(S, M) - explicit) <= 1e-10
 
     def test_zero_probability_outcome_has_zero_entropy(self):
         M = FinitePOVM.from_pairs(
@@ -384,31 +383,10 @@ class TestPosteriorEntropies:
         )
         S = DensityOperator(np.diag([0.0, 0.5, 0.5]))
         with np.errstate(divide="raise", invalid="raise"):
-            probs, ents = posterior_entropies(S.matrix, M)
-        np.testing.assert_allclose(probs, [0.0, 1.0], atol=1e-15)
-        assert ents[0] == 0.0
-        assert abs(ents[1] - 1.0) <= 1e-10
-        assert abs(ents[1] - explicit_entropy(S, M, 1)) <= 1e-10
-
-
-class TestPosteriorGramStacks:
-    """Stacks of states: every entry gets the bits of its own single call."""
-
-    @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)])
-    def test_stack_matches_single_calls_bit_for_bit(self, shape):
-        rng = np.random.default_rng([71, len(shape)])
-        for d, m in ((2, 2), (2, 4), (3, 3), (3, 4)):
-            M = random_povm(rng, d, m)
-            g = rng.standard_normal(shape + (d, d)) + 1j * rng.standard_normal(shape + (d, d))
-            S = g @ np.swapaxes(g.conj(), -1, -2)
-            S /= np.trace(S, axis1=-2, axis2=-1).real[..., None, None]
-            probs, grams = hybrid._posterior_grams(S, M)
-            er = hybrid._er_value(S, M)
-            assert probs.shape == shape + (m,) and grams.shape == shape + (m, d, d)
-            for idx in np.ndindex(*shape):
-                assert np.array_equal(probs[idx], outcome_probs(S[idx], M))
-                assert np.array_equal(grams[idx], hybrid._posterior_grams(S[idx], M)[1])
-                assert er[idx] == hybrid._er_value(S[idx], M)
+            er = entropy_reduction(S, M)
+        # H(S) = 1 and outcome b, of probability 1, leaves S unchanged
+        assert abs(er - (1.0 - explicit_entropy(S, M, 1))) <= 1e-10
+        assert abs(er) <= 1e-10
 
 
 class TestValidation:
