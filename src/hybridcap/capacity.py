@@ -196,11 +196,11 @@ def _gibbs(eig: qmat.HermEigResult, E: float) -> GibbsSolution:
 # Blahut–Arimoto prior updates
 # ---------------------------------------------------------------------------
 
-def _ba_step(w: np.ndarray, P: np.ndarray, penalty=None, parts=None) -> np.ndarray:
+def _ba_step(w: np.ndarray, P: np.ndarray, penalty=None) -> np.ndarray:
     """One multiplicative prior update of each weight row of w (..., n) against
     its rows P (..., n, m); penalty is multiplier * Tr S_x F per member."""
     # not the library's 1e-12, which shifts round counts on projective channels
-    logw = np.log2(np.maximum(w, 1e-300)) + hybrid._divergences(w, P, 1e-15, parts)
+    logw = np.log2(np.maximum(w, 1e-300)) + hybrid._divergences(w, P, 1e-15)
     if penalty is not None:
         logw -= penalty
     logw -= logw.max(axis=-1, keepdims=True)
@@ -231,25 +231,43 @@ def ba_prior_step(
 def _ba_fixed_point(W: np.ndarray, P: np.ndarray, steps: int = 300) -> np.ndarray:
     """Blahut–Arimoto fixed point of each weight row of W (R, n) against P (R, n, m).
 
-    A row stops at its first step that moves it by less than 1e-13, or after
-    ``steps`` steps; stopped rows leave the stack and cost nothing further.
+    A step is w ← w·exp(D − max D)/Σ with D_x = h_x − Σ_y P_xy ln p̄_y in
+    nats, p̄ = wP and h_x = Σ_y P_xy ln P_xy computed once.  As in
+    ``hybrid._divergences`` at eps = 1e-15, a term with P_xy <= eps counts
+    as 0, and so does an outcome with p̄_y <= eps; the latter is rare, so
+    only a step with such an outcome sums h over the live outcomes.  Every
+    8 steps, a row whose last step moved it by less than 1e-13 stops; after
+    ``steps`` steps all do.  A stopped row leaves the stack and costs
+    nothing further, and each row gets the bits of a one-row solve.
     """
+    eps = 1e-15
     out = np.empty_like(W)
     rows = np.arange(len(W))
-    w, parts = W, hybrid._row_parts(P, 1e-15)
-    for _ in range(steps):
-        nw = _ba_step(w, P, parts=parts)
-        moved = np.abs(nw - w).max(axis=-1)
-        if moved.min() < 1e-13:
-            done = moved < 1e-13
-            out[rows[done]] = nw[done]
-            live = ~done
-            if not np.count_nonzero(live):
-                return out
-            rows, nw, P = rows[live], nw[live], P[live]
-            parts = tuple(p[live] for p in parts)
+    pos = P > eps
+    PT = np.where(pos, P, 0.0).transpose(0, 2, 1).copy()
+    PlnP = np.where(pos, P * np.log(np.maximum(P, 1e-300)), 0.0)
+    h = PlnP.sum(axis=-1)[:, None, :]
+    w = W[:, None, :]
+    for k in range(1, steps + 1):
+        pbar = w @ P
+        if pbar.min() > eps:
+            D = h - np.log(pbar) @ PT
+        else:  # a row without dead outcomes gets the bits of the branch above
+            live = pbar > eps
+            D = (np.where(live, PlnP, 0.0).sum(axis=-1)[:, None, :]
+                 - np.log(np.where(live, pbar, 1.0)) @ PT)
+        nw = w * np.exp(D - D.max(axis=-1, keepdims=True))
+        nw /= nw.sum(axis=-1, keepdims=True)
+        if k % 8 == 0:
+            done = np.abs(nw - w).max(axis=-1)[:, 0] < 1e-13
+            if done.any():
+                out[rows[done]] = nw[done, 0]
+                go = ~done
+                if not go.any():
+                    return out
+                rows, nw, P, PT, PlnP, h = rows[go], nw[go], P[go], PT[go], PlnP[go], h[go]
         w = nw
-    out[rows] = w
+    out[rows] = w[:, 0]
     return out
 
 

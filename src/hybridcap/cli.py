@@ -152,6 +152,8 @@ def parse_spec(path: str) -> ChannelSpec:
         e = raw["ensemble"]
         if not isinstance(e, dict) or "weights" not in e or "states" not in e:
             _fail_parse(path, 'ensemble: expected an object with "weights" and "states"')
+        if not (isinstance(e["weights"], list) and isinstance(e["states"], list)):
+            _fail_parse(path, 'ensemble: "weights" and "states" must be lists')
         mats = [
             _matrix_from_json(s, dim, f"{path}: ensemble.states[{k}]")
             for k, s in enumerate(e["states"])
@@ -166,11 +168,19 @@ def parse_spec(path: str) -> ChannelSpec:
     return ChannelSpec(povm, state, constraint, ensemble, options)
 
 
+def _int_option(opts: dict, key: str, default: int) -> int:
+    """options[key] as an int; a non-integral number or a boolean is an error."""
+    v = opts.get(key, default)
+    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+        raise ValueError(f'option "{key}" must be an integer, got {v!r}')
+    return int(v)
+
+
 def _resolve_seed(args, spec: ChannelSpec | None) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     if spec is not None and "seed" in spec.options:
-        return int(spec.options["seed"])
+        return _int_option(spec.options, "seed", 0)
     env = os.environ.get("HYBRIDCAP_SEED")
     if env is not None:
         return int(env)
@@ -179,7 +189,7 @@ def _resolve_seed(args, spec: ChannelSpec | None) -> int:
 
 def _resolve_config(args, spec: ChannelSpec) -> cap.OptimizerConfig:
     opts = spec.options
-    restarts = args.restarts if args.restarts is not None else int(opts.get("restarts", 8))
+    restarts = args.restarts if args.restarts is not None else _int_option(opts, "restarts", 8)
     tol = args.tol if args.tol is not None else float(opts.get("tol", 1e-7))
     return cap.OptimizerConfig(
         seed=_resolve_seed(args, spec), restarts=restarts, value_tolerance=tol

@@ -169,6 +169,8 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     n_list = tuple(n_list)
+    if min(n_list, default=1) < 1:
+        raise ValueError(f"block lengths must be >= 1, got {min(n_list)}")
     for n in n_list:
         if n * R > _ENUM_BITS:
             raise ValueError(f"block length {n} at rate {R} needs 2^{n * R:g} codewords, "

@@ -211,8 +211,8 @@ class EnergyConstraint:
             "constraint operator F is not Hermitian",
             "constraint operator F has eigenvalue below -1e-9",
         )
-        if self.E < 0.0:
-            raise ValueError("energy bound E must be >= 0")
+        if not self.E >= 0.0:  # NaN fails every comparison; +inf is no constraint
+            raise ValueError(f"energy bound E must be >= 0, got {self.E}")
         object.__setattr__(self, "F", f)
         object.__setattr__(self, "E", float(self.E))
 
@@ -356,22 +356,14 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _row_parts(P: np.ndarray, eps: float):
-    """(P > eps, max(P, 1e-300)): the weight-independent parts of _divergences."""
-    return P > eps, np.maximum(P, 1e-300)
-
-
-def _divergences(weights: np.ndarray, P: np.ndarray, eps: float = _EIG_EPS,
-                 parts=None) -> np.ndarray:
+def _divergences(weights: np.ndarray, P: np.ndarray, eps: float = _EIG_EPS) -> np.ndarray:
     """Per-row D(P_x‖p̄) in bits, p̄ = weights @ P; entries <= eps count as 0.
 
-    Works on stacks: weights (..., n) against rows (..., n, m).  ``parts``
-    is ``_row_parts(P, eps)`` when the caller reuses P across weights.
+    Works on stacks: weights (..., n) against rows (..., n, m).
     """
-    pos, P_floor = _row_parts(P, eps) if parts is None else parts
     pbar = (weights[..., None, :] @ P)[..., 0, :]
-    mask = pos & (pbar > eps)[..., None, :]
-    ratio = P_floor / np.maximum(pbar, 1e-300)[..., None, :]
+    mask = (P > eps) & (pbar > eps)[..., None, :]
+    ratio = np.maximum(P, 1e-300) / np.maximum(pbar, 1e-300)[..., None, :]
     return np.where(mask, P * np.log2(ratio), 0.0).sum(axis=-1)
 
 

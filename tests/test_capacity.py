@@ -27,7 +27,7 @@ from hybridcap import (
     mutual_information,
     vn_entropy,
 )
-from hybridcap import hybrid
+from hybridcap import capacity, hybrid
 from hybridcap.capacity import (
     StepSchedule,
     _ba_fixed_point,
@@ -120,6 +120,56 @@ class TestBaPriorStep:
             cur = mutual_information(ens, M)
             assert cur >= prev - 1e-12
             prev = cur
+
+
+def _reference_fixed_point(w, P):
+    """One row's Blahut–Arimoto solve, step by step: w ← w·2^{D − max D}/Σ
+    with D from hybrid._divergences at eps = 1e-15, stopping at the first
+    step that moves w by less than 1e-13, or after 300 steps."""
+    for _ in range(300):
+        D = hybrid._divergences(w, P, 1e-15)
+        nw = w * np.exp2(D - D.max())
+        nw /= nw.sum()
+        if np.abs(nw - w).max() < 1e-13:
+            return nw
+        w = nw
+    return w
+
+
+class TestBaFixedPoint:
+    """The stacked kernel against the plain update it rewrites."""
+
+    @staticmethod
+    def stack(rng, kind):
+        R, n, m = (int(k) for k in rng.integers((1, 2, 2), (5, 6, 6)))
+        P = rng.dirichlet(np.full(m, rng.choice([0.3, 1.0, 3.0])), size=(R, n))
+        W = rng.dirichlet(np.ones(n), size=R)
+        if kind == "near-duplicate rows":
+            P[:, 1] = np.abs(P[:, 0] + 1e-9 * rng.standard_normal((R, m)))
+        elif kind == "zeros":
+            P[P < 0.15] = 0.0
+            P[:, :, 0] += 1e-3
+        elif kind == "lone outcome of a 1e-200 member":
+            # in row 0, outcome 0 has p̄ = 1e-200 and counts as 0; the member
+            # producing it must stay negligible rather than grow by 2^{-log2 p̄}
+            P[0, :, 0] = 0.0
+            P[0, 0] = np.eye(m)[0]
+            W[0, 0] = 1e-200
+        return W / W.sum(axis=-1, keepdims=True), P / P.sum(axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("kind", ["random", "near-duplicate rows", "zeros",
+                                      "lone outcome of a 1e-200 member"])
+    def test_matches_reference_update(self, kind):
+        rng = np.random.default_rng(17)
+        for _ in range(15):
+            W, P = self.stack(rng, kind)
+            fixed = _ba_fixed_point(W, P)
+            for r in range(len(W)):  # rows with and without a dead outcome share a stack
+                assert np.array_equal(fixed[r], _ba_fixed_point(W[r:r + 1], P[r:r + 1])[0])
+            ref = np.array([_reference_fixed_point(w, p) for w, p in zip(W, P)])
+            assert np.max(np.abs(fixed - ref)) <= 1e-11
+            di = hybrid._mutual_informations(fixed, P) - hybrid._mutual_informations(ref, P)
+            assert np.max(np.abs(di)) <= 1e-12
 
 
 class TestClassicalCapacity:
@@ -488,13 +538,26 @@ class TestLockstepRestarts:
         assert res.iterations_used == 4 and res.converged
 
 
+def _one_at_a_time_walk(value, valid, score, commit):
+    """The walk that _walk batches: each candidate scored by its own call,
+    accepted at once when it beats the current value by 1e-14."""
+    improved = np.zeros(len(value), dtype=bool)
+    for r, j in zip(*np.nonzero(valid)):  # row-major: restart by restart, j in order
+        rows = np.array([r])
+        v, built = score(rows, np.array([j]))
+        if v[0] > value[r] + 1e-14:
+            value[r], improved[r] = v[0], True
+            commit(rows, built)
+    return improved
+
+
 class TestOneAtATimeWalk:
     """Batched candidate scoring reproduces the one-at-a-time walk exactly."""
 
-    # float.hex of restart_values, iterations_used, converged, as returned
-    # when every candidate move was scored by its own call; the bits are
-    # those of one NumPy/BLAS/LAPACK build
-    GOLDEN = {
+    # restart_values (float.hex), iterations_used, converged of these runs
+    # with the Blahut–Arimoto kernel of the time they were recorded; the
+    # values may move by rounding when that kernel changes, the counts not
+    ANCHORS = {
         ("classical", 1): (["0x1.8186827a92436p-4"], 40, False),
         ("classical", 3): (["0x1.8186827a92436p-4", "0x1.8186827a93ac3p-4",
                             "0x1.8186827a5fb82p-4"], 120, False),
@@ -503,15 +566,29 @@ class TestOneAtATimeWalk:
                                         "0x1.26eb9c062a2f9p-4"], 119, True),
     }
 
-    @pytest.mark.parametrize("name,restarts", sorted(GOLDEN))
-    def test_results_match_one_at_a_time_walk_bit_for_bit(self, name, restarts):
+    @staticmethod
+    def run(name, restarts):
         M = random_povm(np.random.default_rng(31), 2, 3)
         c = {"classical": None,
              "classical-constrained": EnergyConstraint(np.diag([0.0, 1.0]), 0.3)}[name]
         res = classical_capacity(M, c, OptimizerConfig(seed=5, restarts=restarts,
                                                        max_iterations=40))
-        got = ([v.hex() for v in res.restart_values], res.iterations_used, res.converged)
-        assert got == self.GOLDEN[name, restarts]
+        return [v.hex() for v in res.restart_values], res.iterations_used, res.converged
+
+    @pytest.mark.parametrize("name,restarts", sorted(ANCHORS))
+    def test_results_match_one_at_a_time_walk_bit_for_bit(self, name, restarts, monkeypatch):
+        batched = self.run(name, restarts)
+        monkeypatch.setattr(capacity, "_walk", _one_at_a_time_walk)
+        assert batched == self.run(name, restarts)
+
+    @pytest.mark.parametrize("name,restarts", sorted(ANCHORS))
+    def test_results_stay_at_anchors(self, name, restarts):
+        values, rounds, converged = self.run(name, restarts)
+        anchor_values, anchor_rounds, anchor_converged = self.ANCHORS[name, restarts]
+        assert (rounds, converged) == (anchor_rounds, anchor_converged)
+        diff = np.subtract([float.fromhex(v) for v in values],
+                           [float.fromhex(v) for v in anchor_values])
+        assert np.max(np.abs(diff)) <= 1e-12
 
 
 class TestConfigValidation:

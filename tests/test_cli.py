@@ -97,6 +97,14 @@ class TestValidate:
     def test_missing_field_exit_3(self, tmp_path):
         assert main(["validate", write_spec(tmp_path, {"dim": 2})]) == 3
 
+    @pytest.mark.parametrize("ensemble", [
+        {"weights": [1.0], "states": 5},
+        {"weights": 1.0, "states": [mat(np.diag([1.0, 0.0]))]},
+    ], ids=["states", "weights"])
+    def test_non_list_ensemble_field_exit_3(self, tmp_path, capsys, ensemble):
+        assert main(["mi", write_spec(tmp_path, z_spec(ensemble=ensemble))]) == 3
+        assert '"weights" and "states" must be lists' in capsys.readouterr().err
+
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 3
 
@@ -150,6 +158,18 @@ class TestSubcommands:
         assert main(["capacity", z_file, "--tol", "nan"]) == 2
         assert "value_tolerance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [2.7, True])
+    @pytest.mark.parametrize("key", ["restarts", "seed"])
+    def test_non_integral_option_exit_2(self, tmp_path, capsys, key, value):
+        spec = z_spec(options={key: value})
+        assert main(["capacity", write_spec(tmp_path, spec)]) == 2
+        assert f'option "{key}" must be an integer, got {value!r}' in capsys.readouterr().err
+
+    def test_integral_float_options_accepted(self, tmp_path, capsys):
+        spec = z_spec(options={"restarts": 2.0, "seed": 3.0})
+        assert main(["capacity", write_spec(tmp_path, spec)]) == 0
+        assert "C = 1.000000 bits" in capsys.readouterr().out
+
     def test_ea_pure_path(self, z_file, capsys):
         assert main(["ea", z_file]) == 0
         out = capsys.readouterr().out
@@ -160,6 +180,18 @@ class TestSubcommands:
         assert main(["gibbs", full_file]) == 0
         out = capsys.readouterr().out
         assert "beta = 0.000000" in out and "entropy = 1.000000 bits" in out
+
+    def test_gibbs_nan_energy_bound_exit_2(self, tmp_path, capsys):
+        spec = z_spec(constraint={"F": mat(np.diag([0.0, 1.0])), "E": float("nan")})
+        assert main(["gibbs", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "energy bound E must be >= 0, got nan" in captured.err
+
+    def test_gibbs_infinite_energy_bound(self, tmp_path, capsys):
+        spec = z_spec(constraint={"F": mat(np.diag([0.0, 1.0])), "E": float("inf")})
+        assert main(["gibbs", write_spec(tmp_path, spec)]) == 0
+        assert "beta = 0.000000" in capsys.readouterr().out
 
     def test_gibbs_infeasible_exit_4(self, tmp_path, capsys):
         spec = z_spec(constraint={"F": mat(np.diag([1.0, 2.0])), "E": 0.5})
@@ -193,6 +225,14 @@ class TestSubcommands:
             "--trials", "0",
         ]) == 2
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nlist", ["0", "-2"])
+    def test_code_sim_nonpositive_block_length_exit_2(self, full_file, capsys, nlist):
+        assert main(["code-sim", full_file, "--rate", "0.5", "--nlist", nlist,
+                     "--trials", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "block lengths must be >= 1" in captured.err
 
     def test_code_sim_oversized_codebook_exit_2(self, full_file, capsys):
         # 2^30 codewords at n = 30: rejected before anything is allocated

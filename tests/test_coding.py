@@ -235,6 +235,12 @@ class TestRateExperiment:
         with pytest.raises(ValueError, match="trials"):
             rate_experiment(z_povm(), ens, 0.5, [4], trials=0, seed=0)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_nonpositive_block_length_rejected(self, n):
+        ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
+        with pytest.raises(ValueError, match="block lengths must be >= 1"):
+            rate_experiment(z_povm(), ens, 0.5, [2, n], trials=10, seed=0)
+
     def test_codebook_size_guard(self):
         # N = 2^30 codewords at n = 30, R = 1; the guard allows N up to 2^20
         ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))

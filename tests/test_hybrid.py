@@ -446,6 +446,16 @@ class TestValidation:
         assert type(info.value) is ValueError
         assert str(info.value) == msg
 
+    @pytest.mark.parametrize("E", [float("nan"), -1.0])
+    def test_energy_bound_nan_or_negative_rejected(self, E):
+        with pytest.raises(ValueError, match="energy bound E must be >= 0"):
+            EnergyConstraint(np.diag([0.0, 1.0]), E)
+
+    def test_infinite_energy_bound_accepted(self):
+        # no constraint in effect: every state is feasible
+        c = EnergyConstraint(np.diag([0.0, 1.0]), float("inf"))
+        assert c.E == math.inf and energy_ok(ket(2, 1), c)[1]
+
     def test_mixed_block_dimensions_accepted(self):
         hs = HybridState(("x", "y"), (np.array([[0.5]]), np.diag([0.3, 0.2])))
         np.testing.assert_allclose(hs.weights(), [0.5, 0.5])
