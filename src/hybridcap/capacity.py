@@ -17,12 +17,16 @@ single call, the result is the one-at-a-time walk, bit for bit.  No
 restart sees another; the first k restart values are those of a run with k
 restarts.
 
-Classical capacity: alternating optimization over pure-state ensembles —
-exact Blahut–Arimoto prior updates at fixed states, pattern search over the
-state vectors at fixed prior.  Under an energy constraint a vector ψ over
-the bound is blended toward the ground eigenvector g of F: the energy of
-(1−t)ψ + t·g is a quadratic in t, and the least feasible blend is its root,
-taken in closed form.
+Classical capacity: alternating optimization over pure-state ensembles.
+The prior is solved at the start and after each round's walk over the state
+vectors (``_ba_fixed_point``): weight transfers between two members, each
+followed by a Blahut–Arimoto step, until the bracket max D(P_x‖p̄) − I
+certifies it within 1e-12 bits.  Members of weight < 1e-12 sit out the walk
+on I; a second walk moves each of them up D(P_x‖p̄) at the round's p̄, and
+the next solve revives any whose D then exceeds I.  Under an energy
+constraint a vector ψ over the bound is blended toward the ground
+eigenvector g of F: the energy of (1−t)ψ + t·g is a quadratic in t, and
+the least feasible blend is its root, taken in closed form.
 
 Entanglement-assisted capacity: for pure (rank-1) POVMs the value is the
 maximum von Neumann entropy over the feasible set, i.e. the Gibbs-state
@@ -196,32 +200,19 @@ def _gibbs(eig: qmat.HermEigResult, E: float) -> GibbsSolution:
 # Blahut–Arimoto prior updates
 # ---------------------------------------------------------------------------
 
-def _ba_step(w: np.ndarray, P: np.ndarray, penalty=None) -> np.ndarray:
-    """One multiplicative prior update of each weight row of w (..., n) against
-    its rows P (..., n, m); penalty is multiplier * Tr S_x F per member."""
-    # not the library's 1e-12, which shifts round counts on projective channels
-    logw = np.log2(np.maximum(w, 1e-300)) + hybrid._divergences(w, P, 1e-15)
-    if penalty is not None:
-        logw -= penalty
-    logw -= logw.max(axis=-1, keepdims=True)
-    nw = np.exp2(logw)
-    return nw / nw.sum(axis=-1, keepdims=True)
-
-
 def ba_prior_step(
     pi: Ensemble, M: FinitePOVM, multiplier: float = 0.0, F=None
 ) -> Ensemble:
     """Blahut–Arimoto prior update π'_x ∝ π_x 2^{D(p(·|x)‖p̄) - multiplier·Tr S_x F}."""
     P = np.stack([outcome_probs(s.matrix, M) for s in pi.states])
     P[P < 0.0] = 0.0
-    penalty = None
+    logw = np.log2(np.maximum(pi.weights, 1e-300)) + hybrid._divergences(pi.weights, P)
     if multiplier != 0.0 and F is not None:
         fmat = qmat.as_complex_matrix(F)
-        energies = np.array(
-            [float(np.real(np.trace(s.matrix @ fmat))) for s in pi.states]
-        )
-        penalty = multiplier * energies
-    nw = _ba_step(pi.weights, P, penalty)
+        logw -= multiplier * np.array(
+            [float(np.real(np.trace(s.matrix @ fmat))) for s in pi.states])
+    nw = np.exp2(logw - logw.max())
+    nw /= nw.sum()
     keep = nw > 1e-300
     nw = nw[keep] / nw[keep].sum()
     states = tuple(s for s, k in zip(pi.states, keep) if k)
@@ -229,45 +220,49 @@ def ba_prior_step(
 
 
 def _ba_fixed_point(W: np.ndarray, P: np.ndarray, steps: int = 300) -> np.ndarray:
-    """Blahut–Arimoto fixed point of each weight row of W (R, n) against P (R, n, m).
+    """Optimal prior of each weight row of W (R, n) against P (R, n, m), certified.
 
-    A step is w ← w·exp(D − max D)/Σ with D_x = h_x − Σ_y P_xy ln p̄_y in
-    nats, p̄ = wP and h_x = Σ_y P_xy ln P_xy computed once.  As in
-    ``hybrid._divergences`` at eps = 1e-15, a term with P_xy <= eps counts
-    as 0, and so does an outcome with p̄_y <= eps; the latter is rare, so
-    only a step with such an outcome sums h over the live outcomes.  Every
-    8 steps, a row whose last step moved it by less than 1e-13 stops; after
-    ``steps`` steps all do.  A stopped row leaves the stack and costs
-    nothing further, and each row gets the bits of a one-row solve.
+    With D = D(P_x‖p̄) in bits and I = w·D, the optimum lies in [I, max D],
+    so a row stops once max D − I <= 1e-12, or after ``steps`` iterations.
+    An iteration moves weight t_b from a member b to a = argmax D (which may
+    have weight 0), then takes one Blahut–Arimoto step w ← w·2^{D − max D}/Σ.
+    t_x = min(w_x, (D_a − D_x)·ln 2 / Σ_y (P_ay − P_xy)²/p̄_y) over p̄_y > 1e-12
+    is the Newton step of I along e_a − e_x, and b the x whose step gains
+    most by that model (near the optimum argmin D is a tie within rounding,
+    and a step from a row far from P_a gains less than I resolves).  The
+    move is kept only if I does not fall.  A stopped row leaves the stack,
+    and each row gets the bits of a one-row solve.
     """
-    eps = 1e-15
     out = np.empty_like(W)
-    rows = np.arange(len(W))
-    pos = P > eps
-    PT = np.where(pos, P, 0.0).transpose(0, 2, 1).copy()
-    PlnP = np.where(pos, P * np.log(np.maximum(P, 1e-300)), 0.0)
-    h = PlnP.sum(axis=-1)[:, None, :]
-    w = W[:, None, :]
-    for k in range(1, steps + 1):
-        pbar = w @ P
-        if pbar.min() > eps:
-            D = h - np.log(pbar) @ PT
-        else:  # a row without dead outcomes gets the bits of the branch above
-            live = pbar > eps
-            D = (np.where(live, PlnP, 0.0).sum(axis=-1)[:, None, :]
-                 - np.log(np.where(live, pbar, 1.0)) @ PT)
-        nw = w * np.exp(D - D.max(axis=-1, keepdims=True))
-        nw /= nw.sum(axis=-1, keepdims=True)
-        if k % 8 == 0:
-            done = np.abs(nw - w).max(axis=-1)[:, 0] < 1e-13
-            if done.any():
-                out[rows[done]] = nw[done, 0]
-                go = ~done
-                if not go.any():
-                    return out
-                rows, nw, P, PT, PlnP, h = rows[go], nw[go], P[go], PT[go], PlnP[go], h[go]
-        w = nw
-    out[rows] = w[:, 0]
+    rows, w = np.arange(len(W)), W
+    for _ in range(steps):
+        pbar = (w[:, None, :] @ P)[:, 0, :]
+        D = hybrid._divergences_to(P, pbar)
+        I = hybrid._dots(w, D)
+        go = D.max(axis=-1) - I > 1e-12
+        if not go.all():
+            out[rows[~go]] = w[~go]
+            if not go.any():
+                return out
+            rows, w, P, pbar, D, I = rows[go], w[go], P[go], pbar[go], D[go], I[go]
+        i, a = np.arange(len(w)), D.argmax(axis=-1)
+        diff = P[i, a][:, None, :] - P
+        live = (pbar > 1e-12)[:, None, :]
+        curv = np.where(live, diff * diff / np.maximum(pbar, 1e-300)[:, None, :], 0.0).sum(axis=-1)
+        slope = np.maximum(D[i, a][:, None] - D, 0.0)
+        T = np.minimum(w, np.divide(slope * _LN2, curv, out=np.full_like(curv, np.inf),
+                                    where=curv > 0.0))
+        b = (T * (slope - 0.5 * T * curv / _LN2)).argmax(axis=-1)
+        t, wb = T[i, b], w[i, b]
+        v = w.copy()
+        v[i, a] += t
+        v[i, b] = np.where(t < wb, wb - t, 0.0)
+        Dv = hybrid._divergences(v, P)
+        up = (hybrid._dots(v, Dv) >= I)[:, None]
+        w, D = np.where(up, v, w), np.where(up, Dv, D)
+        w = w * np.exp2(D - D.max(axis=-1, keepdims=True))
+        w /= w.sum(axis=-1, keepdims=True)
+    out[rows] = w
     return out
 
 
@@ -336,6 +331,8 @@ def _multistart(cfg: OptimizerConfig, start, sweep) -> CapacityResult:
 
 def _walk(value: np.ndarray, valid: np.ndarray, score, commit) -> np.ndarray:
     """One round of accept-as-you-go moves for every restart, scored in batches.
+
+    A "restart" is any walker; the classical search also walks (restart, member) pairs.
 
     Restart r tries the candidates j with valid[r, j] in order, each from its
     current point, and moves to every one that beats its value by 1e-14.
@@ -457,31 +454,46 @@ def classical_capacity(
             rng = np.random.default_rng([cfg.seed, r])
             draws.append(rng.standard_normal((cap, d)) + 1j * rng.standard_normal((cap, d)))
         psis = _project_pure_feasible(np.stack(draws), F, E, ground)
-        w = np.full((cfg.restarts, cap), 1.0 / cap)
+        P = _cond_rows(psis, M)
+        w = _ba_fixed_point(np.full((cfg.restarts, cap), 1.0 / cap), P)
         # -inf: the first round's gain never counts toward convergence
-        return (w, psis, _cond_rows(psis, M)), np.full(cfg.restarts, -math.inf)
+        return (w, psis, P), np.full(cfg.restarts, -math.inf)
 
     def sweep(point, value, step):
         w, psis, P = point
-        w = _ba_fixed_point(w, P)
         value = mutual_informations(w, P)
+
+        def build(r, x, k):
+            """Member x of restart r moved along moves[k // 2] with signs[k % 2]."""
+            delta = step[r, None] * moves[k // 2]
+            cand = _project_pure_feasible(psis[r, x] + signs[k % 2, None] * delta, F, E, ground)
+            return cand, _cond_rows(cand, M)
 
         def score(rows, j):
             x, k = np.divmod(j, 4 * d)
-            delta = step[rows, None] * moves[k // 2]
-            cand = _project_pure_feasible(psis[rows, x] + signs[k % 2, None] * delta,
-                                          F, E, ground)
-            cond = _cond_rows(cand, M)
+            cand, cond = build(rows, x, k)
             P_try = P[rows]
             P_try[np.arange(rows.size), x] = cond
-            return mutual_informations(w[rows], P_try), (x, cand, cond)
+            return mutual_informations(w[rows], P_try), (rows, x, cand, cond)
 
-        def commit(r, built):
-            x, cand, cond = built
+        def commit(_, built):
+            r, x, cand, cond = built
             psis[r, x], P[r, x] = cand, cond
 
-        live = ~(w < 1e-12)  # members of negligible weight do not move
+        live = ~(w < 1e-12)  # members of negligible weight do not move here
         improved = _walk(value, np.repeat(live, 4 * d, axis=1), score, commit)
+        # ... but climb D(P_x‖p̄), so that the solve can revive them once D_x > I
+        fr, fx = np.nonzero(~live)
+        if fr.size:
+            pbar = (w[:, None, :] @ P)[:, 0, :]
+
+            def climb(rows, k):
+                r, x = fr[rows], fx[rows]
+                cand, cond = build(r, x, k)
+                return hybrid._divergences_to(cond[:, None, :], pbar[r])[:, 0], (r, x, cand, cond)
+
+            _walk(hybrid._divergences_to(P, pbar)[fr, fx], np.ones((fr.size, 4 * d), dtype=bool),
+                  climb, commit)
         w = _ba_fixed_point(w, P)
         return (w, psis, P), mutual_informations(w, P), improved
 

@@ -119,7 +119,7 @@ def parse_spec(path: str) -> ChannelSpec:
         raise SpecParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         _fail_parse(path, "top-level value must be an object")
-    if "dim" not in raw or not isinstance(raw["dim"], int) or raw["dim"] < 1:
+    if "dim" not in raw or type(raw["dim"]) is not int or raw["dim"] < 1:
         _fail_parse(path, 'field "dim" must be a positive integer')
     dim = raw["dim"]
     if "povm" not in raw or not isinstance(raw["povm"], list) or not raw["povm"]:
@@ -168,19 +168,21 @@ def parse_spec(path: str) -> ChannelSpec:
     return ChannelSpec(povm, state, constraint, ensemble, options)
 
 
-def _int_option(opts: dict, key: str, default: int) -> int:
-    """options[key] as an int; a non-integral number or a boolean is an error."""
+def _option(opts: dict, key: str, default, integral: bool):
+    """options[key] as an int if integral, else a float: a JSON number, not a bool."""
     v = opts.get(key, default)
-    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
-        raise ValueError(f'option "{key}" must be an integer, got {v!r}')
-    return int(v)
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or integral and isinstance(v, float) and not v.is_integer()):
+        what = "an integer" if integral else "a number"
+        raise ValueError(f'option "{key}" must be {what}, got {v!r}')
+    return int(v) if integral else float(v)
 
 
 def _resolve_seed(args, spec: ChannelSpec | None) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     if spec is not None and "seed" in spec.options:
-        return _int_option(spec.options, "seed", 0)
+        return _option(spec.options, "seed", 0, True)
     env = os.environ.get("HYBRIDCAP_SEED")
     if env is not None:
         return int(env)
@@ -189,8 +191,8 @@ def _resolve_seed(args, spec: ChannelSpec | None) -> int:
 
 def _resolve_config(args, spec: ChannelSpec) -> cap.OptimizerConfig:
     opts = spec.options
-    restarts = args.restarts if args.restarts is not None else _int_option(opts, "restarts", 8)
-    tol = args.tol if args.tol is not None else float(opts.get("tol", 1e-7))
+    restarts = args.restarts if args.restarts is not None else _option(opts, "restarts", 8, True)
+    tol = args.tol if args.tol is not None else _option(opts, "tol", 1e-7, False)
     return cap.OptimizerConfig(
         seed=_resolve_seed(args, spec), restarts=restarts, value_tolerance=tol
     )

@@ -356,13 +356,15 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _divergences(weights: np.ndarray, P: np.ndarray, eps: float = _EIG_EPS) -> np.ndarray:
-    """Per-row D(P_x‖p̄) in bits, p̄ = weights @ P; entries <= eps count as 0.
+def _divergences(weights: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Per-row D(P_x‖p̄) in bits, p̄ = weights @ P; weights (..., n), rows (..., n, m)."""
+    return _divergences_to(P, (weights[..., None, :] @ P)[..., 0, :])
 
-    Works on stacks: weights (..., n) against rows (..., n, m).
-    """
-    pbar = (weights[..., None, :] @ P)[..., 0, :]
-    mask = (P > eps) & (pbar > eps)[..., None, :]
+
+def _divergences_to(P: np.ndarray, pbar: np.ndarray) -> np.ndarray:
+    """Per-row D(P_x‖p̄) in bits of rows (..., n, m) against p̄ (..., m);
+    entries <= 1e-12 count as 0."""
+    mask = (P > _EIG_EPS) & (pbar > _EIG_EPS)[..., None, :]
     ratio = np.maximum(P, 1e-300) / np.maximum(pbar, 1e-300)[..., None, :]
     return np.where(mask, P * np.log2(ratio), 0.0).sum(axis=-1)
 

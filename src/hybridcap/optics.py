@@ -61,8 +61,8 @@ def homodyne_entropy_bound(E: float) -> float:
 
 def curve_table(E_min: float, E_max: float, steps: int) -> list[CurveRow]:
     """Uniform E grid (endpoints included) with the three capacity columns."""
-    if not (_GROUND <= E_min < E_max):
-        raise DomainError(f"need 1/2 <= E_min < E_max, got ({E_min}, {E_max})")
+    if not (_GROUND <= E_min < E_max < math.inf):
+        raise DomainError(f"need 1/2 <= E_min < E_max < inf, got ({E_min}, {E_max})")
     if steps < 2:
         raise DomainError("steps must be >= 2")
     grid = np.linspace(E_min, E_max, steps)

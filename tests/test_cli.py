@@ -89,6 +89,10 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err == "invariant violation: POVM element 0 has non-finite entries\n"
 
+    def test_boolean_dim_exit_3(self, tmp_path, capsys):
+        assert main(["validate", write_spec(tmp_path, z_spec(dim=True))]) == 3
+        assert 'field "dim" must be a positive integer' in capsys.readouterr().err
+
     def test_truncated_json_exit_3(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"dim": 2, "povm": [', encoding="utf-8")
@@ -164,6 +168,23 @@ class TestSubcommands:
         spec = z_spec(options={key: value})
         assert main(["capacity", write_spec(tmp_path, spec)]) == 2
         assert f'option "{key}" must be an integer, got {value!r}' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("restarts", [2]), ("restarts", None), ("restarts", "2"),
+        ("seed", [3]), ("seed", None), ("seed", "3"),
+        ("tol", [1e-6]), ("tol", None), ("tol", "1e-6"), ("tol", True),
+    ])
+    def test_non_number_option_exit_2(self, tmp_path, capsys, key, value):
+        spec = z_spec(options={key: value})
+        assert main(["capacity", write_spec(tmp_path, spec)]) == 2
+        what = "a number" if key == "tol" else "an integer"
+        assert capsys.readouterr().err == (
+            f'invariant violation: option "{key}" must be {what}, got {value!r}\n')
+
+    def test_integer_tolerance_accepted(self, tmp_path, capsys):
+        spec = z_spec(options={"tol": 1, "restarts": 2})
+        assert main(["capacity", write_spec(tmp_path, spec)]) == 0
+        assert "C = 1.000000 bits" in capsys.readouterr().out
 
     def test_integral_float_options_accepted(self, tmp_path, capsys):
         spec = z_spec(options={"restarts": 2.0, "seed": 3.0})
@@ -266,6 +287,13 @@ class TestOpticsCurves:
 
     def test_bad_range_exit_2(self, capsys):
         assert main(["optics-curves", "--emin", "0.2", "--emax", "1.0"]) == 2
+
+
+    @pytest.mark.parametrize("emax", ["inf", "nan"])
+    def test_non_finite_emax_exit_2(self, capsys, emax):
+        assert main(["optics-curves", "--emin", "0.5", "--emax", emax]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "E_max" in err
 
 
 class TestSeedsAndDeterminism:

@@ -96,6 +96,11 @@ class TestCurveTable:
         with pytest.raises(DomainError):
             curve_table(0.5, 1.0, 1)
 
+    @pytest.mark.parametrize("E_max", [math.inf, math.nan])
+    def test_non_finite_upper_end(self, E_max):
+        with pytest.raises(DomainError, match="E_max < inf"):
+            curve_table(0.5, E_max, 5)
+
 
 class TestTruncatedOscillator:
     def test_ground_state(self):
