@@ -144,6 +144,8 @@ def parse_spec(path: str) -> ChannelSpec:
         if not isinstance(c, dict) or "F" not in c or "E" not in c:
             _fail_parse(path, 'constraint: expected an object with "F" and "E"')
         fmat = _matrix_from_json(c["F"], dim, f"{path}: constraint.F")
+        if isinstance(c["E"], bool) or not isinstance(c["E"], (int, float)):
+            raise SpecInvariantError(f"constraint: E must be a number, got {c['E']!r}")
         constraint = _construct(
             "constraint: ", lambda: hybrid.EnergyConstraint(fmat, float(c["E"])))
 
@@ -337,7 +339,10 @@ def cmd_code_sim(args) -> int:
     spec = parse_spec(args.spec)
     ens = _require(spec, "ensemble", "ensemble")
     seed = _resolve_seed(args, spec)
-    n_list = [int(x) for x in args.nlist.split(",")]
+    try:
+        n_list = [int(x) for x in args.nlist.split(",")]
+    except ValueError:
+        raise ValueError(f"--nlist must be comma-separated integers, got {args.nlist!r}") from None
     result = coding.rate_experiment(
         spec.povm, ens, args.rate, n_list, args.trials, seed
     )

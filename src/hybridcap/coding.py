@@ -5,12 +5,14 @@ only.  Decoding is maximum likelihood with lowest-message-index tie
 breaking; the erasure cell (message index 0) is kept in the partition
 format but is never used by ML.
 
-Outcome words are (count, n) arrays of outcome indices.  Monte Carlo
-``average_error`` draws from one ``default_rng(seed)``; ``rate_experiment``
-from one ``default_rng([seed, n, b])`` per codebook b at block length n:
-its codewords, then all its messages, then their per-slot uniforms.  This
-layout replaced one generator per trial, so Monte Carlo numbers differ
-from earlier versions; reruns with the same seed stay identical.
+Outcome words are (count, n) arrays of outcome indices, sampled by inverse
+CDF.  Monte Carlo ``average_error`` draws from one ``default_rng(seed)``;
+``rate_experiment`` from one ``default_rng([seed, n, b])`` per codebook b
+at block length n: its codewords (by inverse CDF of the weights, the same
+numbers ``Generator.choice`` gave), then all its messages, then their
+per-slot uniforms.  This layout replaced one generator per trial, so Monte
+Carlo numbers differ from earlier versions; reruns with the same seed stay
+identical.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from .hybrid import Ensemble, FinitePOVM, OutcomeDistribution, outcome_probs
 
 # exact enumeration guard: n * log2(m) <= 20, i.e. at most ~1e6 outcome words
 _ENUM_BITS = 20
+# rate_experiment decodes codebooks in groups of at most ~this many (codeword, trial) pairs
+_GROUP_BUDGET = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -104,14 +108,10 @@ def _label_words(M: FinitePOVM, words: np.ndarray):
     return (w for k in range(0, len(words), 4096) for w in map(tuple, labels[words[k:k + 4096]]))
 
 
-def _sample_words(rng, P: np.ndarray, count: int):
-    """(messages, words): count uniform 0-based messages j and, per message,
-    an outcome index word drawn slot by slot from P[j] by inverse CDF."""
-    N, n, m = P.shape
-    j = rng.integers(N, size=count)
-    u = rng.random((count, n))
-    words = (P[j].cumsum(axis=2) < u[:, :, None]).sum(axis=2)
-    return j, np.minimum(words, m - 1)
+def _sample_words(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome index words by inverse CDF: slot t of a word takes the first
+    outcome k with cdf[..., t, k] >= u[..., t], capped at m - 1."""
+    return np.minimum((cdf < u[..., None]).sum(axis=-1), cdf.shape[-1] - 1)
 
 
 def ml_partition(book: Codebook, M: FinitePOVM) -> DecoderPartition:
@@ -137,7 +137,9 @@ def average_error(book: Codebook, part: DecoderPartition, M: FinitePOVM,
     if mode == "exact":
         words = _all_words(book.n, M.size)
     elif mode == "monte_carlo":
-        j, words = _sample_words(np.random.default_rng(seed), P, trials)
+        rng = np.random.default_rng(seed)
+        j = rng.integers(book.N, size=trials)
+        words = _sample_words(P.cumsum(axis=2)[j], rng.random((trials, book.n)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     decoded = np.array([part.decode(w) for w in _label_words(M, words)], dtype=int)
@@ -164,7 +166,7 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
     slot from the ensemble, decodes every sampled outcome word by maximum
     likelihood, and estimates the average error.
     """
-    if R <= 0.0:
+    if not R > 0.0:  # NaN fails every comparison
         raise ValueError("rate R must be positive")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -178,8 +180,11 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
     member_rows = np.stack([outcome_probs(s.matrix, M) for s in ensemble.states])
     member_rows[member_rows < 0.0] = 0.0
     member_rows /= member_rows.sum(axis=1, keepdims=True)
+    row_cdf = member_rows.cumsum(axis=1)
     with np.errstate(divide="ignore"):
         log_rows = np.log(member_rows)  # -inf on zero-probability outcomes is fine
+    weight_cdf = ensemble.weights.cumsum()  # as Generator.choice(p=weights) forms it
+    weight_cdf /= weight_cdf[-1]
     entries = []
     for n in n_list:
         N = math.ceil(2.0 ** (n * R))
@@ -191,17 +196,30 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
         # first trials % books codebooks run one extra trial each
         books = min(32, trials)
         per_book, extra = divmod(trials, books)
+        c = per_book + (extra > 0)  # trials per book, the short ones padded
+        group = max(1, _GROUP_BUDGET // (N * c))
         failures = 0
-        for b in range(books):
-            rng = np.random.default_rng([seed, n, b])
-            idx = rng.choice(len(ensemble.states), size=(N, n), p=ensemble.weights)
-            j, words = _sample_words(rng, member_rows[idx], per_book + (b < extra))
-            L = log_rows[idx]  # (N, n, m)
-            # (N, trials) log-likelihoods, summed slot by slot: no (N, trials, n) array
-            ll = L[:, 0, words[:, 0]]
+        for b0 in range(0, books, group):
+            counts = per_book + (np.arange(b0, min(b0 + group, books)) < extra)
+            G = len(counts)
+            U = np.empty((G, N, n))
+            j = np.zeros((G, c), dtype=np.int64)
+            u = np.zeros((G, c, n))  # a book one trial short pads with message 0
+            for g, cb in enumerate(counts.tolist()):
+                rng = np.random.default_rng([seed, n, b0 + g])
+                rng.random(out=U[g])
+                j[g, :cb] = rng.integers(N, size=cb)
+                rng.random(out=u[g, :cb])
+            idx = weight_cdf.searchsorted(U, side="right")  # (G, N, n) members
+            words = _sample_words(row_cdf[np.take_along_axis(idx, j[:, :, None], axis=1)], u)
+            # (N, G * c) log-likelihoods, summed slot by slot: column g * c + k, book g's
+            # trial k, reads book g's block of columns of the (N, G * m) slot rows
+            cols = (words + M.size * np.arange(G)[:, None, None]).reshape(G * c, n)
+            ll = log_rows[idx[:, :, 0].T].reshape(N, -1)[:, cols[:, 0]]
             for t in range(1, n):
-                ll += L[:, t, words[:, t]]
-            failures += int(np.count_nonzero(np.argmax(ll, axis=0) != j))
+                ll += log_rows[idx[:, :, t].T].reshape(N, -1)[:, cols[:, t]]
+            wrong = np.argmax(ll, axis=0).reshape(G, c) != j
+            failures += int(np.count_nonzero(wrong & (np.arange(c) < counts[:, None])))
         est = failures / trials
         half = 1.96 * math.sqrt(est * (1.0 - est) / trials)
         entries.append(

@@ -214,6 +214,15 @@ class TestSubcommands:
         assert main(["gibbs", write_spec(tmp_path, spec)]) == 0
         assert "beta = 0.000000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", [True, "0.25", [0.25], None])
+    def test_non_number_energy_bound_exit_2(self, tmp_path, capsys, value):
+        spec = z_spec(constraint={"F": mat(np.diag([0.0, 1.0])), "E": value})
+        assert main(["gibbs", write_spec(tmp_path, spec)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"invariant violation: constraint: E must be a number, got {value!r}\n")
+
     def test_gibbs_infeasible_exit_4(self, tmp_path, capsys):
         spec = z_spec(constraint={"F": mat(np.diag([1.0, 2.0])), "E": 0.5})
         assert main(["gibbs", write_spec(tmp_path, spec)]) == 4
@@ -254,6 +263,22 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "block lengths must be >= 1" in captured.err
+
+    def test_code_sim_nan_rate_exit_2(self, full_file, capsys):
+        assert main(["code-sim", full_file, "--rate", "nan", "--nlist", "4",
+                     "--trials", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "invariant violation: rate R must be positive\n"
+
+    @pytest.mark.parametrize("nlist", ["2,,4", "x"])
+    def test_code_sim_malformed_nlist_exit_2(self, full_file, capsys, nlist):
+        assert main(["code-sim", full_file, "--rate", "0.5", "--nlist", nlist,
+                     "--trials", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invariant violation: --nlist must be comma-separated "
+                                f"integers, got {nlist!r}\n")
 
     def test_code_sim_oversized_codebook_exit_2(self, full_file, capsys):
         # 2^30 codewords at n = 30: rejected before anything is allocated

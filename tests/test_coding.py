@@ -11,6 +11,7 @@ from hybridcap import (
     DecoderPartition,
     Ensemble,
     FinitePOVM,
+    RateExperimentResult,
     average_error,
     codeword_distribution,
     measure,
@@ -19,6 +20,45 @@ from hybridcap import (
 )
 from hybridcap.coding import _all_words
 from hybridcap.errors import EnumerationTooLarge
+from hybridcap.hybrid import outcome_probs
+
+
+def three_outcome_povm():
+    # rank-1 outer elements: ket(0) never gives "2" and ket(1) never gives "0"
+    return FinitePOVM.from_pairs([
+        ("0", np.diag([0.5, 0.0])), ("1", np.diag([0.5, 0.5])), ("2", np.diag([0.0, 0.5]))])
+
+
+def per_book_rate_experiment(M, ensemble, R, n_list, trials, seed):
+    """rate_experiment as one loop body per codebook, with its codewords drawn
+    by Generator.choice: the reference the stacked version must equal."""
+    member_rows = np.stack([outcome_probs(s.matrix, M) for s in ensemble.states])
+    member_rows[member_rows < 0.0] = 0.0
+    member_rows /= member_rows.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        log_rows = np.log(member_rows)
+    entries = []
+    for n in n_list:
+        N = math.ceil(2.0 ** (n * R))
+        books = min(32, trials)
+        per_book, extra = divmod(trials, books)
+        failures = 0
+        for b in range(books):
+            rng = np.random.default_rng([seed, n, b])
+            idx = rng.choice(len(ensemble.states), size=(N, n), p=ensemble.weights)
+            P = member_rows[idx]
+            j = rng.integers(N, size=per_book + (b < extra))
+            u = rng.random((len(j), n))
+            words = np.minimum((P[j].cumsum(axis=2) < u[:, :, None]).sum(axis=2), M.size - 1)
+            L = log_rows[idx]
+            ll = L[:, 0, words[:, 0]]
+            for t in range(1, n):
+                ll += L[:, t, words[:, t]]
+            failures += int(np.count_nonzero(np.argmax(ll, axis=0) != j))
+        est = failures / trials
+        half = 1.96 * math.sqrt(est * (1.0 - est) / trials)
+        entries.append({"n": int(n), "N": N, "error": est, "half_width": half, "trials": trials})
+    return RateExperimentResult(rate=float(R), entries=tuple(entries))
 
 
 def binary_book(n, states=None):
@@ -196,6 +236,52 @@ class TestAverageError:
 
 
 class TestRateExperiment:
+    # (POVM, ensemble, R, block lengths, trials): one trial per codebook
+    # (trials < 32), trials % 32 of 0, 1, 4 and 12, n = 1..8, members with
+    # zero-probability outcomes, stacked groups split by the budget (N = 256
+    # at n = 8, R = 1, 300 trials: groups of 12, 12 and 8 codebooks) and
+    # N = 4096 codebooks that run one at a time
+    PARITY_BANK = [
+        ("z", "pair", 0.5, [1, 2, 3], 1),
+        ("three", "mixed", 0.7, [1, 4, 8], 7),
+        ("bsc", "mixed", 0.6, [2, 5, 7], 31),
+        ("three", "pair", 0.4, [3, 6], 32),
+        ("z", "pair", 1.0, [8, 4], 33),
+        ("three", "mixed", 0.9, [2, 7], 100),
+        ("bsc", "pair", 1.0, [8, 1], 300),
+        ("three", "mixed", 1.0, [12], 300),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("povm,members,R,n_list,trials", PARITY_BANK)
+    def test_matches_per_book_reference(self, povm, members, R, n_list, trials, seed):
+        M = {"z": z_povm(), "bsc": bsc_povm(0.8), "three": three_outcome_povm()}[povm]
+        pair = (ket(2, 0), ket(2, 1))
+        ens = (Ensemble([0.5, 0.5], pair) if members == "pair" else Ensemble(
+            [0.2, 0.5, 0.3], pair + (random_density(np.random.default_rng(8), 2),)))
+        args = (M, ens, R, n_list, trials, seed)
+        assert rate_experiment(*args) == per_book_rate_experiment(*args)
+
+    @pytest.mark.parametrize("R", [0.0, -1.0, float("nan")])
+    def test_nonpositive_or_nan_rate_rejected(self, R):
+        ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
+        with pytest.raises(ValueError, match="rate R must be positive"):
+            rate_experiment(z_povm(), ens, R, [4], trials=10, seed=0)
+
+    def test_peak_memory_at_fourteen_slots(self):
+        # N = 2^14 codewords: each codebook's (N, trials) block exceeds the
+        # group budget, so it runs alone; the per-codebook loop this replaced
+        # peaked at 10 MB here, and the bound is 25 % above that
+        ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
+        tracemalloc.start()
+        try:
+            res = rate_experiment(z_povm(), ens, 1.0, [14], trials=300, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.entries[0]["N"] == 2**14
+        assert peak < 12.5e6
+
     def test_below_capacity_error_decays(self):
         ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
         res = rate_experiment(z_povm(), ens, 0.5, [2, 8], trials=2000, seed=0)
