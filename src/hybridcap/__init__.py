@@ -9,7 +9,6 @@ from .capacity import (
     CapacityResult,
     GibbsSolution,
     OptimizerConfig,
-    StepSchedule,
     ba_prior_step,
     classical_capacity,
     ea_capacity,

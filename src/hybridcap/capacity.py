@@ -1,32 +1,20 @@
 """Capacity optimizers and the constrained maximum-entropy (Gibbs) solver.
 
-The classical capacity is maximized by a multi-start pattern search
-(``_multistart``): each restart, seeded deterministically, runs rounds of ±
-coordinate moves.  A round that improves nothing multiplies the step by the
-schedule's decay; a restart converges once the step is below 1e-6 and the
-round gained less than ``value_tolerance``.
-
-The restarts run in lockstep: every point, value and step carries a leading
-restart axis, and a restart that has stopped is frozen.  Within a round
-each restart walks its candidate moves in a fixed order and accepts every
-one that beats its current value (``_walk``).  The walk scores a batch of
-each running restart's next candidates with one stacked evaluation and
-accepts the first that wins; the candidates after it are scored again from
-the new point.  Since every stacked kernel gives each entry the bits of a
-single call, the result is the one-at-a-time walk, bit for bit.  No
-restart sees another; the first k restart values are those of a run with k
-restarts.
-
-Classical capacity: alternating optimization over pure-state ensembles.
-The prior is solved at the start and after each round's walk over the state
-vectors (``_ba_fixed_point``): weight transfers between two members, each
-followed by a Blahut–Arimoto step, until the bracket max D(P_x‖p̄) − I
-certifies it within 1e-12 bits.  Members of weight < 1e-12 sit out the walk
-on I; a second walk moves each of them up D(P_x‖p̄) at the round's p̄, and
-the next solve revives any whose D then exceeds I.  Under an energy
-constraint a vector ψ over the bound is blended toward the ground
-eigenvector g of F: the energy of (1−t)ψ + t·g is a quadratic in t, and
-the least feasible blend is its root, taken in closed form.
+Classical capacity: alternating optimization over pure-state ensembles
+from seeded restarts run in lockstep (``_multistart``); every stacked
+kernel gives each restart the bits of a one-restart run.  A round moves
+the states, then solves the prior.  For a fixed prior w, I is convex in
+the rows P_x, and P_xy = ψ_x†M_yψ_x is linear in ψ_xψ_x†; so with p̄ = w·P
+and G_x = Σ_y ln(P_xy/p̄_y) M_y, no ψ'_x with ψ'_x†G_xψ'_x >= ψ_x†G_xψ_x
+lowers I (minorize–maximize), and each member moves to the best feasible
+vector for its G_x (``_top_feasible``).  G_x is also the gradient of
+D(P_x‖p̄), so members of weight 0 climb D, or jump to an eigenvector of a
+POVM element where that is higher in D.  ``_ba_fixed_point`` then solves
+the prior to a bracket max D(P_x‖p̄) − I of 1e-12 bits, reviving members
+whose D exceeds I.  A restart converges once a round gains less than
+``value_tolerance``.  Start draws over the energy bound are blended toward
+the ground eigenvector g of F: the energy of (1−t)ψ + t·g is a quadratic
+in t, and the least feasible blend is its root.
 
 Entanglement-assisted capacity: for pure (rank-1) POVMs the value is the
 maximum von Neumann entropy over the feasible set, i.e. the Gibbs-state
@@ -35,7 +23,7 @@ which is concave in S, is maximized by one exponentiated-gradient ascent
 (``_ascent``) from the maximum-entropy feasible state.  Each step bounds
 C_ea from above by a duality gap; ``converged`` means that this certified
 gap is <= ``value_tolerance``.  The ascent draws no random numbers, so
-``seed``, ``restarts`` and ``step_schedule`` do not affect C_ea.
+``seed`` and ``restarts`` do not affect C_ea.
 
 Returned values are always realized by the returned argmax, so they are
 valid lower bounds on the corresponding suprema even when the search stops
@@ -45,7 +33,7 @@ before its tolerance is met (converged=False).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,25 +55,12 @@ _ETA = 1.5
 
 
 @dataclass(frozen=True)
-class StepSchedule:
-    """Initial step and multiplicative decay for the local searches."""
-
-    initial: float = 0.5
-    decay: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.initial < math.inf and 0.0 < self.decay < 1.0):
-            raise ValueError("step schedule needs finite initial > 0 and 0 < decay < 1")
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
     seed: int = 0
     restarts: int = 8
     max_iterations: int = 200
     value_tolerance: float = 1e-7
     ensemble_size_cap: int | None = None  # defaults to m + 1 at call time
-    step_schedule: StepSchedule = field(default_factory=StepSchedule)
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iterations < 1 or not 0 < self.value_tolerance < math.inf:
@@ -267,7 +242,7 @@ def _ba_fixed_point(W: np.ndarray, P: np.ndarray, steps: int = 300) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Multi-start pattern search (classical capacity)
+# Multi-start driver (classical capacity)
 # ---------------------------------------------------------------------------
 
 def _feasible(M: FinitePOVM, constraint: EnergyConstraint | None):
@@ -284,13 +259,14 @@ def _feasible(M: FinitePOVM, constraint: EnergyConstraint | None):
 
 
 def _multistart(cfg: OptimizerConfig, start, sweep) -> CapacityResult:
-    """Best of cfg.restarts pattern searches run in lockstep; argmax is the best raw point.
+    """Best of cfg.restarts ascents run in lockstep; argmax is the best raw point.
 
     A point is a tuple of arrays whose leading axis is the restart.
     ``start()`` gives every restart's first (point, values); ``sweep(point,
-    values, steps)`` runs one round of the running restarts, possibly in
-    place, and gives (point, values, improved).  A restart that stops leaves
-    the stack: it is neither swept nor counted again.
+    values)`` runs one round of the running restarts and gives (point,
+    values).  A restart converges once a round gains less than
+    ``value_tolerance``; it then leaves the stack and is neither swept nor
+    counted again.
     """
     point, value = start()
     final_point, final_value = tuple(a.copy() for a in point), value.copy()
@@ -301,20 +277,18 @@ def _multistart(cfg: OptimizerConfig, start, sweep) -> CapacityResult:
         final_value[restarts] = value[rows]
 
     running = np.arange(cfg.restarts)
-    step = np.full(cfg.restarts, cfg.step_schedule.initial)
     converged = np.zeros(cfg.restarts, dtype=bool)
     rounds = 0
     for _ in range(cfg.max_iterations):
         rounds += running.size
-        point, new_value, improved = sweep(point, value.copy(), step)
-        gain, value = new_value - value, new_value
-        step = np.where(improved, step, step * cfg.step_schedule.decay)
-        stop = (step < 1e-6) & (gain < cfg.value_tolerance)
+        point, new_value = sweep(point, value)
+        stop = new_value - value < cfg.value_tolerance
+        value = new_value
         if np.count_nonzero(stop):
             converged[running[stop]] = True
             record(running[stop], stop)
             go = ~stop
-            running, value, step = running[go], value[go], step[go]
+            running, value = running[go], value[go]
             point = tuple(a[go] for a in point)
             if running.size == 0:
                 break
@@ -329,57 +303,6 @@ def _multistart(cfg: OptimizerConfig, start, sweep) -> CapacityResult:
                           tuple(final_value.tolist()))
 
 
-def _walk(value: np.ndarray, valid: np.ndarray, score, commit) -> np.ndarray:
-    """One round of accept-as-you-go moves for every restart, scored in batches.
-
-    A "restart" is any walker; the classical search also walks (restart, member) pairs.
-
-    Restart r tries the candidates j with valid[r, j] in order, each from its
-    current point, and moves to every one that beats its value by 1e-14.
-    ``score(rows, j)`` builds candidate j[i] from the current point of
-    restart rows[i], for a flat batch over all running restarts, and gives
-    (values, built), built being a tuple of arrays over the batch;
-    ``commit(restarts, built)`` moves each restart to its row of built.
-
-    A restart's batch holds its next candidates: all that remain at the
-    start of a round, 2t after a batch whose t-th candidate was accepted,
-    twice as many after a batch without an accept.  The candidates up to the
-    first accept in a batch are scored from the point the one-at-a-time walk
-    scores them from, and those after it are scored again, from the new
-    point, in a later batch; every stacked kernel gives each entry the bits
-    of a single call, so the walk is the one-at-a-time walk, bit for bit.
-    Updates value in place and gives the restarts that moved.
-    """
-    n = valid.shape[1]
-    order = np.argsort(~valid, axis=1, kind="stable").ravel()  # valid candidates first
-    nxt = np.arange(0, order.size, n)  # flat position in order of each restart's next candidate
-    end = nxt + np.count_nonzero(valid, axis=1)
-    improved = np.zeros(len(value), dtype=bool)
-    live = np.flatnonzero(nxt < end)
-    nxt, end = nxt[live], end[live]
-    size = end - nxt
-    while live.size:
-        b = np.minimum(size, end - nxt)
-        starts = b.cumsum() - b
-        rows = live.repeat(b)
-        flat = np.arange(rows.size) + (nxt - starts).repeat(b)
-        v, built = score(rows, order[flat])
-        first = np.minimum.reduceat(np.where(v > value[rows] + 1e-14, flat, order.size), starts)
-        t = first - nxt
-        hit = t < b
-        if hit.any():
-            moved, pick = live[hit], (starts + t)[hit]
-            value[moved] = v[pick]
-            improved[moved] = True
-            commit(moved, tuple(a[pick] for a in built))
-        size = np.where(hit, 2 * t + 2, 2 * b)
-        nxt = np.where(hit, first + 1, nxt + b)
-        go = nxt < end
-        if not go.all():
-            live, nxt, end, size = live[go], nxt[go], end[go], size[go]
-    return improved
-
-
 # ---------------------------------------------------------------------------
 # Classical capacity (accessible-information objective)
 # ---------------------------------------------------------------------------
@@ -389,10 +312,11 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(hybrid._dots(v.real, v.real) + hybrid._dots(v.imag, v.imag))
 
 
-def _project_pure_feasible(psi: np.ndarray, F, E, ground: np.ndarray) -> np.ndarray:
-    """Normalize ψ and blend it toward the ground eigenvector g until Tr ψF ≤ E.
+def _project_pure_feasible(psi: np.ndarray, F, E, target: np.ndarray) -> np.ndarray:
+    """Normalize ψ and blend it toward a feasible unit vector g until Tr ψF ≤ E.
 
-    ψ is one vector or a stack (..., d) of them.  With A = F − E and
+    ψ is one vector or a stack (..., d) of them; g is one vector or a stack
+    of ψ's shape, one target per vector.  With A = F − E and
     v(t) = (1−t)ψ + t·g, v†Av = αt² + βt + a where a = ψ†Aψ > 0 ≥ c = g†Ag,
     b = Re ψ†Ag, α = a − 2b + c and β = 2(b − a); the least feasible blend
     is its root in (0, 1].  v(t) cannot vanish there because a > 0 ≥ c.
@@ -405,18 +329,85 @@ def _project_pure_feasible(psi: np.ndarray, F, E, ground: np.ndarray) -> np.ndar
     over = e_psi > E + 1e-12
     if not np.count_nonzero(over):
         return psi
-    v = psi[over]
-    Fg = F @ ground
+    v, g = psi[over], target if target.ndim == 1 else target[over]
+    Fg = (F @ g[..., None])[..., 0]
     a = e_psi[over] - E
-    b = dots(v.conj(), Fg).real - E * dots(v.conj(), ground).real
-    c = float(np.real(ground.conj() @ Fg)) - E
+    b = dots(v.conj(), Fg).real - E * dots(v.conj(), g).real
+    c = dots(g.conj(), Fg).real - E
     alpha, beta = a - 2.0 * b + c, 2.0 * (b - a)
     den = -beta + np.sqrt(np.maximum(beta * beta - 4.0 * alpha * a, 0.0))
     # E at the ground energy: t = 1
     t = np.divide(2.0 * a, den, out=np.ones_like(a), where=den > 2.0 * a)[:, None]
-    v = (1.0 - t) * v + t * ground
+    v = (1.0 - t) * v + t * g
     psi[over] = v / _norms(v)[:, None]
     return psi
+
+
+def _top_feasible(G: np.ndarray, F, E, eig) -> np.ndarray:
+    """Unit ψ maximizing ψ†Gψ subject to ψ†Fψ <= E, for each G of a stack (n, d, d).
+
+    Unconstrained, ψ is the top eigenvector of G.  Constrained, the value
+    is min over μ >= 0 of D(μ) = μE + λ_max(G − μF) (S-lemma), and the
+    energy e(μ) of the top eigenvector v_μ of G − μF falls with μ.  A row
+    with v_0 infeasible keeps ends lo < hi, e(lo) > E >= e(hi); hi starts at
+    spread(G)/(E − f₀), f₀ the ground energy, with v_hi the ground vector g
+    and the line g†Gg + μ(E − f₀) <= D for its tangent.  Steps are Newton's
+    on (e − f₀)^−½ = (E − f₀)^−½, de/dμ = −2 Σ_j |v_j†Fv_μ|²/(λ_max − λ_j);
+    one leaving (lo, hi) goes where D's tangents at lo and hi meet, which
+    is μ* where e jumps across E.  ψ is v_lo blended toward v_hi (phase
+    aligned) to energy E, in the top eigenspace at μ* when e jumps; a row
+    stops once ψ†Gψ is within 1e-12 · (spread(G) + μ·spread(F)) of the
+    least D seen, or after 50 steps.  Rows get the bits of one-row calls.
+    """
+    lam, V = np.linalg.eigh(G)
+    psi = V[..., -1]
+    if F is None:
+        return psi
+    dots = hybrid._dots
+    f, ground = eig.eigenvalues, eig.eigenvectors[:, 0]
+
+    def evaluate(lam, V):
+        """(v_μ, e(μ), de/dμ) of each eigendecomposition of G − μF."""
+        v = V[..., -1]
+        Fv = (F @ v[..., None])[..., 0]
+        c = np.abs((Fv.conj()[:, None, :] @ V[..., :-1])[:, 0]) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            de = -2.0 * (c / (lam[:, -1:] - lam[:, :-1])).sum(axis=-1)
+        return v, dots(v.conj(), Fv).real, de
+
+    rows = np.flatnonzero(dots(psi.conj(), (F @ psi[..., None])[..., 0]).real > E + 1e-12)
+    if rows.size == 0 or E - f[0] <= 1e-12:  # at the ground energy only g is feasible
+        return _project_pure_feasible(psi, F, E, ground)
+    psi, G, spread = psi.copy(), G[rows], lam[rows, -1] - lam[rows, 0]
+    _, e, de = evaluate(lam[rows], V[rows])
+    # the lo and hi ends: μ, D, e and v
+    mu = np.stack([np.zeros(rows.size), spread / (E - f[0])])
+    D = np.stack([lam[rows, -1], dots(ground.conj(), (G @ ground[:, None])[..., 0]).real + spread])
+    ends_e = np.stack([e, np.full(rows.size, f[0])])
+    ends_v = np.stack([psi[rows], np.broadcast_to(ground, psi[rows].shape)])
+    last = mu[0]
+    for _ in range(50):
+        x = e - f[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = last + 2.0 * x * (1.0 - np.sqrt(x / (E - f[0]))) / de
+        slope = E - ends_e
+        cut = (D[1] - D[0] + slope[0] * mu[0] - slope[1] * mu[1]) / (slope[0] - slope[1])
+        last = np.where((newton > mu[0]) & (newton < mu[1]), newton, cut)
+        lam, V = np.linalg.eigh(G - last[:, None, None] * F)
+        v, e, de = evaluate(lam, V)
+        end = (e <= E).astype(np.intp), np.arange(rows.size)
+        mu[end], D[end], ends_e[end], ends_v[end] = last, last * E + lam[:, -1], e, v
+        lo, hi = ends_v
+        phase = np.exp(1j * np.angle(dots(hi.conj(), lo)))
+        blend = _project_pure_feasible(lo, F, E, hi * phase[:, None])
+        psi[rows] = blend
+        gap = D.min(axis=0) - dots(blend.conj(), (G @ blend[..., None])[..., 0]).real
+        go = gap > 1e-12 * (spread + last * (f[-1] - f[0]))
+        if not go.any():
+            break
+        rows, G, spread, e, de, last = rows[go], G[go], spread[go], e[go], de[go], last[go]
+        mu, D, ends_e, ends_v = mu[:, go], D[:, go], ends_e[:, go], ends_v[:, go]
+    return _project_pure_feasible(psi, F, E, ground)
 
 
 def _cond_rows(psis: np.ndarray, M: FinitePOVM) -> np.ndarray:
@@ -443,10 +434,15 @@ def classical_capacity(
     F, E, eig = _feasible(M, constraint)
     ground = None if eig is None else eig.eigenvectors[:, 0]
     cap = cfg.ensemble_size_cap if cfg.ensemble_size_cap is not None else M.size + 1
-    # candidate j moves member j // 4d along moves[j // 2 % 2d] with signs[j % 2]
-    moves = np.vstack([np.eye(d), 1j * np.eye(d)])  # real and imaginary unit moves
-    signs = np.array([1.0, -1.0])
     mutual_informations = hybrid._mutual_informations
+    # the eigenvectors of the POVM elements, made feasible, for members of weight 0 to jump to
+    pool = _project_pure_feasible(np.linalg.eigh(M.elements)[1].transpose(0, 2, 1).reshape(-1, d),
+                                  F, E, ground)
+    pool_P = _cond_rows(pool, M)
+
+    def divergence(Q, log_pbar):
+        """D(Q_x‖p̄) in nats of rows Q (..., m), from ln p̄ (..., m)."""
+        return (Q * (np.log(np.maximum(Q, 1e-300)) - log_pbar)).sum(axis=-1)
 
     def start():
         draws = []
@@ -459,43 +455,37 @@ def classical_capacity(
         # -inf: the first round's gain never counts toward convergence
         return (w, psis, P), np.full(cfg.restarts, -math.inf)
 
-    def sweep(point, value, step):
+    def sweep(point, _):
         w, psis, P = point
         value = mutual_informations(w, P)
-
-        def build(r, x, k):
-            """Member x of restart r moved along moves[k // 2] with signs[k % 2]."""
-            delta = step[r, None] * moves[k // 2]
-            cand = _project_pure_feasible(psis[r, x] + signs[k % 2, None] * delta, F, E, ground)
-            return cand, _cond_rows(cand, M)
-
-        def score(rows, j):
-            x, k = np.divmod(j, 4 * d)
-            cand, cond = build(rows, x, k)
-            P_try = P[rows]
-            P_try[np.arange(rows.size), x] = cond
-            return mutual_informations(w[rows], P_try), (rows, x, cand, cond)
-
-        def commit(_, built):
-            r, x, cand, cond = built
-            psis[r, x], P[r, x] = cand, cond
-
-        live = ~(w < 1e-12)  # members of negligible weight do not move here
-        improved = _walk(value, np.repeat(live, 4 * d, axis=1), score, commit)
-        # ... but climb D(P_x‖p̄), so that the solve can revive them once D_x > I
-        fr, fx = np.nonzero(~live)
-        if fr.size:
-            pbar = (w[:, None, :] @ P)[:, 0, :]
-
-            def climb(rows, k):
-                r, x = fr[rows], fx[rows]
-                cand, cond = build(r, x, k)
-                return hybrid._divergences_to(cond[:, None, :], pbar[r])[:, 0], (r, x, cand, cond)
-
-            _walk(hybrid._divergences_to(P, pbar)[fr, fx], np.ones((fr.size, 4 * d), dtype=bool),
-                  climb, commit)
-        w = _ba_fixed_point(w, P)
-        return (w, psis, P), mutual_informations(w, P), improved
+        pbar = (w[:, None, :] @ P)[:, 0, :]
+        live = (pbar > 1e-12)[:, None, :]
+        ratio = np.maximum(P, 1e-300) / np.where(live, pbar[:, None, :], 1.0)
+        G = np.einsum("rxk,kij->rxij", np.where(live, np.log(ratio), 0.0), M.elements)
+        step = _top_feasible(G.reshape(-1, d, d), F, E, eig).reshape(psis.shape)
+        P_step = _cond_rows(step, M)
+        zero = w < 1e-12
+        r, x = np.nonzero(zero)
+        if r.size:
+            # the j-th member of weight 0 of a restart takes its step or the j-th best state
+            # of the pool, whichever is higher in D(·‖p̄), p̄ floored at 1e-12
+            log_pbar = np.log(np.maximum(pbar, 1e-12))[:, None, :]
+            D_pool = divergence(pool_P, log_pbar)
+            j = np.minimum((np.cumsum(zero, axis=1) - 1)[r, x], len(pool) - 1)
+            k = np.argsort(-D_pool, axis=1, kind="stable")[r, j]
+            take = D_pool[r, k] > divergence(P_step[r, x], log_pbar[r, 0])
+            r, x, k = r[take], x[take], k[take]
+            step[r, x], P_step[r, x] = pool[k], pool_P[k]
+        # only rounding and the clipped logs can make the step lower I; a
+        # restart whose I it would lower keeps its states
+        up = (mutual_informations(w, P_step) >= value)[:, None, None]
+        psis, P = np.where(up, step, psis), np.where(up, P_step, P)
+        # the solve counts an outcome of p̄ <= 1e-12 as 0, so a member of weight 0 giving
+        # such an outcome 1e-3 or more gets weight 1e-9, which makes it count
+        dead = ((w[:, None, :] @ P)[:, 0, :] <= 1e-12)[:, None, :]
+        w = np.where(zero & (dead & (P > 1e-3)).any(axis=-1), 1e-9, w)
+        w = _ba_fixed_point(w / w.sum(axis=-1, keepdims=True), P)
+        return (w, psis, P), mutual_informations(w, P)
 
     res = _multistart(cfg, start, sweep)
     w, psis, _ = res.argmax

@@ -54,7 +54,7 @@ def _matrix_from_json(obj, dim: int, path: str) -> np.ndarray:
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         _fail_parse(path, "re/im entries are not numeric")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         _fail_parse(path, f"expected {dim}x{dim} arrays, got {re.shape} and {im.shape}")
@@ -98,7 +98,7 @@ class ChannelSpec:
         return out
 
 
-_SPEC_ERRORS = (ValueError, TypeError, NonHermitianInput, NegativeEigenvalue)
+_SPEC_ERRORS = (ValueError, TypeError, OverflowError, NonHermitianInput, NegativeEigenvalue)
 
 
 def _construct(prefix: str, build):
@@ -177,7 +177,12 @@ def _option(opts: dict, key: str, default, integral: bool):
             or integral and isinstance(v, float) and not v.is_integer()):
         what = "an integer" if integral else "a number"
         raise ValueError(f'option "{key}" must be {what}, got {v!r}')
-    return int(v) if integral else float(v)
+    if integral:
+        return int(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f'option "{key}" is too large for a float') from None
 
 
 def _resolve_seed(args, spec: ChannelSpec | None) -> int:

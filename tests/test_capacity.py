@@ -27,13 +27,13 @@ from hybridcap import (
     mutual_information,
     vn_entropy,
 )
-from hybridcap import capacity, hybrid
+from hybridcap import hybrid, qmat
 from hybridcap.capacity import (
-    StepSchedule,
     _ba_fixed_point,
     _cond_rows,
     _multistart,
     _project_pure_feasible,
+    _top_feasible,
 )
 from hybridcap.errors import InfeasibleEnergy
 
@@ -226,6 +226,21 @@ class TestClassicalCapacity:
         assert D.max() - p @ D < 1e-13
         assert res.converged and abs(res.value_bits - p @ D) <= 1e-9
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_projective_measurement_at_log_d(self, d):
+        # the first state step puts every member on a basis state, and an
+        # outcome given only by members of weight 0 counts as 0 in the prior
+        # solve until one of them is given weight
+        M = random_rank1_povm(np.random.default_rng([48, d, 4]), d, d)
+        res = classical_capacity(M, cfg=FAST)
+        assert abs(res.value_bits - math.log2(d)) <= 1e-9
+
+    def test_trine_at_log3_minus_one(self):
+        # the anti-trine ensemble makes the output uniform, and no pure state
+        # has an outcome entropy below 1 bit, so C = log2 3 - 1
+        res = classical_capacity(trine_povm(), cfg=FAST)
+        assert abs(res.value_bits - (math.log2(3.0) - 1.0)) <= 1e-9
+
     def test_value_realized_by_argmax(self):
         rng = np.random.default_rng(2)
         M = random_povm(rng, 2, 3)
@@ -343,13 +358,16 @@ class TestEaAscent:
         M = random_povm(np.random.default_rng(41), 3, 3)
         F, E = np.diag([0.0, 1.0, 2.0]), 0.6  # below the mixed-state energy 1
         c = EnergyConstraint(F, E) if constrained else None
-        runs = [ea_capacity(M, c, OptimizerConfig(max_iterations=k)) for k in (1, 2, 5, 20, 200)]
-        assert runs[0].iterations_used == 1 and not runs[0].converged
-        values = [res.value_bits for res in runs]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-        assert values[-1] > values[0]
-        start = gibbs_state(F, E).state if constrained else DensityOperator(np.eye(3) / 3)
-        assert abs(values[0] - entropy_reduction(start, M)) <= 1e-9
+        for solve in (ea_capacity, classical_capacity):
+            runs = [solve(M, c, OptimizerConfig(max_iterations=k)) for k in (1, 2, 5, 20, 200)]
+            assert not runs[0].converged
+            values = [res.value_bits for res in runs]
+            assert all(b >= a for a, b in zip(values, values[1:]))
+            assert values[-1] > values[0]
+            if solve is ea_capacity:
+                assert runs[0].iterations_used == 1
+                start = gibbs_state(F, E).state if constrained else DensityOperator(np.eye(3) / 3)
+                assert abs(values[0] - entropy_reduction(start, M)) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("iterations", [1, 200])
@@ -436,6 +454,89 @@ class TestProjectPureFeasible:
         np.testing.assert_array_equal(out, psi / np.linalg.norm(psi))
 
 
+def _hermitian(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return (a + a.conj().T) / 2.0
+
+
+def _dual_bound(G, F, E):
+    """min over μ >= 0 of μE + λ_max(G − μF): a 4001-point grid, then golden sections."""
+    lam, f = np.linalg.eigvalsh(G), np.linalg.eigvalsh(F)
+    dual = lambda mu: mu * E + np.linalg.eigvalsh(G - mu * F)[-1]
+    # past (λ_max − λ_min)/(E − f_0) the top eigenvector of G − μF is feasible
+    grid = np.linspace(0.0, (lam[-1] - lam[0]) / (E - f[0]) + 1.0, 4001)
+    k = int(np.argmin([dual(mu) for mu in grid]))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(100):
+        a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+        lo, hi = (lo, b) if dual(a) < dual(b) else (a, hi)
+    return min(dual(grid[k]), dual(0.5 * (lo + hi)))
+
+
+class TestTopFeasible:
+    """The state step: the best unit ψ of ψ†Gψ under ψ†Fψ <= E, for a stack of G."""
+
+    @staticmethod
+    def constraint(rng, d):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        F = g @ g.conj().T
+        F = (F + F.conj().T) / 2.0
+        f = np.linalg.eigvalsh(F)
+        return F, float(rng.uniform(f[0] + 1e-3, f.mean())), qmat.herm_eig(F)
+
+    @staticmethod
+    def value(psi, A):
+        return float(np.real(psi.conj() @ A @ psi))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_value_attains_dual_bound(self, seed):
+        rng = np.random.default_rng([44, seed])
+        d = int(rng.integers(2, 5))
+        F, E, eig = self.constraint(rng, d)
+        G = np.stack([_hermitian(rng, d) for _ in range(6)])
+        out = _top_feasible(G, F, E, eig)
+        for g, psi in zip(G, out):
+            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+            assert self.value(psi, F) <= E + 1e-12
+            assert abs(self.value(psi, g) - _dual_bound(g, F, E)) <= 1e-9
+
+    @pytest.mark.parametrize("E", [0.2, 0.5, 0.9])
+    def test_commuting_value_jumps_and_blend_attains_it(self, E):
+        # the Z channel's G under F = diag(0, 1): e(μ) jumps from 1 to 0 at
+        # μ* = 1.3, and only a blend of |0> and |1> reaches energy E
+        G = np.diag([-0.4, 0.9]).astype(complex)[None]
+        F = np.diag([0.0, 1.0])
+        psi = _top_feasible(G, F, E, qmat.herm_eig(F))[0]
+        assert self.value(psi, F) <= E + 1e-12
+        assert abs(self.value(psi, G[0]) - (-0.4 + 1.3 * E)) <= 1e-12
+
+    def test_unconstrained_is_top_eigenvector(self):
+        rng = np.random.default_rng(45)
+        G = np.stack([_hermitian(rng, 3) for _ in range(4)])
+        for g, psi in zip(G, _top_feasible(G, None, None, None)):
+            assert abs(self.value(psi, g) - np.linalg.eigvalsh(g)[-1]) <= 1e-12
+
+    def test_ground_energy_gives_ground_vector(self):
+        rng = np.random.default_rng(46)
+        F = np.diag([0.5, 1.0, 2.0])
+        out = _top_feasible(np.stack([_hermitian(rng, 3) for _ in range(3)]), F, 0.5,
+                            qmat.herm_eig(F))
+        np.testing.assert_allclose(np.abs(out), np.tile([1.0, 0.0, 0.0], (3, 1)), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_rows_match_one_row_calls_bit_for_bit(self, seed):
+        rng = np.random.default_rng([47, seed])
+        d = int(rng.integers(2, 5))
+        F, E, eig = self.constraint(rng, d)
+        G = np.stack([_hermitian(rng, d) for _ in range(8)])
+        G[0] = np.eye(d)  # top feasible or not, its value is 1 at once
+        G[1] = -F  # top eigenvector is the ground vector, feasible
+        out = _top_feasible(G, F, E, eig)
+        for k in range(len(G)):
+            assert np.array_equal(out[k], _top_feasible(G[k:k + 1], F, E, eig)[0])
+
+
 class TestIsPurePovm:
     def test_rank2_element_among_rank1(self):
         M = FinitePOVM.from_pairs([
@@ -478,8 +579,7 @@ class TestMultistartResults:
 
     def test_restart_and_round_counts(self):
         M = random_povm(np.random.default_rng(7), 2, 3)
-        cfg = OptimizerConfig(seed=0, restarts=3, max_iterations=15,
-                              step_schedule=StepSchedule(0.3, 0.4))
+        cfg = OptimizerConfig(seed=0, restarts=3, max_iterations=15)
         res = classical_capacity(M, cfg=cfg)
         assert len(res.restart_values) == cfg.restarts
         assert cfg.restarts <= res.iterations_used <= cfg.restarts * cfg.max_iterations
@@ -494,14 +594,14 @@ class TestMultistartResults:
 class TestLockstepRestarts:
     """All restarts run in lockstep; none may see another."""
 
-    CFG = dict(seed=0, max_iterations=40, value_tolerance=1e-5,
-               step_schedule=StepSchedule(0.3, 0.4))
+    CFG = dict(seed=0, max_iterations=40, value_tolerance=1e-5)
 
     @staticmethod
     def channel(kind):
         if kind == "commuting":
             return bsc_povm(0.8), None
-        M = random_povm(np.random.default_rng(11), 2, 3)
+        # its first three restarts stop at three different rounds (see below)
+        M = random_povm(np.random.default_rng(17), 2, 3)
         if kind == "constrained":
             return M, EnergyConstraint(np.diag([0.0, 1.0]), 0.3)
         return M, None
@@ -509,7 +609,7 @@ class TestLockstepRestarts:
     @pytest.mark.parametrize("kind", ["commuting", "non-commuting", "constrained"])
     def test_restarts_independent_of_their_number(self, kind):
         M, c = self.channel(kind)
-        # 8 (the CLI default): restarts accept at different offsets of one batch
+        # 8 is the CLI default
         ks = (1, 2, 3, 8)
         runs = [classical_capacity(M, c, OptimizerConfig(restarts=k, **self.CFG)) for k in ks]
         full = runs[-1].restart_values
@@ -557,11 +657,11 @@ class TestLockstepRestarts:
         def start():
             return (np.arange(4.0),), values.copy()
 
-        def sweep(point, value, step):
-            return point, value, np.zeros(len(value), dtype=bool)
+        def sweep(point, value):
+            return point, value
 
-        # an initial step below the 1e-6 floor stops every restart after one round
-        cfg = OptimizerConfig(restarts=4, max_iterations=3, step_schedule=StepSchedule(1e-7))
+        # a round that gains nothing stops every restart after one round
+        cfg = OptimizerConfig(restarts=4, max_iterations=3)
         res = _multistart(cfg, start, sweep)
         assert res.argmax == (2.0,)
         assert res.value_bits == values[2]
@@ -569,32 +669,19 @@ class TestLockstepRestarts:
         assert res.iterations_used == 4 and res.converged
 
 
-def _one_at_a_time_walk(value, valid, score, commit):
-    """The walk that _walk batches: each candidate scored by its own call,
-    accepted at once when it beats the current value by 1e-14."""
-    improved = np.zeros(len(value), dtype=bool)
-    for r, j in zip(*np.nonzero(valid)):  # row-major: restart by restart, j in order
-        rows = np.array([r])
-        v, built = score(rows, np.array([j]))
-        if v[0] > value[r] + 1e-14:
-            value[r], improved[r] = v[0], True
-            commit(rows, built)
-    return improved
-
-
-class TestOneAtATimeWalk:
-    """Batched candidate scoring reproduces the one-at-a-time walk exactly."""
+class TestClassicalAnchors:
+    """Pinned classical_capacity runs: values within 1e-12 bits, round counts exact."""
 
     # restart_values (float.hex), iterations_used, converged of these runs
-    # with the inner solve of the time they were recorded; the values may
-    # move by rounding when that solve changes, the counts not
+    # with the state step and inner solve of the time they were recorded;
+    # the values may move by rounding when either changes, the counts not
     ANCHORS = {
-        ("classical", 1): (["0x1.8186827a9c358p-4"], 40, True),
-        ("classical", 3): (["0x1.8186827a9c358p-4", "0x1.8186827a9cce0p-4",
-                            "0x1.8186827a9c253p-4"], 118, True),
-        ("classical-constrained", 1): (["0x1.26eb9c063fc04p-4"], 29, True),
-        ("classical-constrained", 3): (["0x1.26eb9c063fc04p-4", "0x1.26eb9c063df8ep-4",
-                                        "0x1.26eb9c063fd9cp-4"], 89, True),
+        ("classical", 1): (["0x1.8186827a7e979p-4"], 4, True),
+        ("classical", 3): (["0x1.8186827a7e979p-4", "0x1.81868279e6faep-4",
+                            "0x1.8186826fb85f1p-4"], 9, True),
+        ("classical-constrained", 1): (["0x1.26eb9c0639670p-4"], 3, True),
+        ("classical-constrained", 3): (["0x1.26eb9c0639670p-4", "0x1.26eb9c04e4551p-4",
+                                        "0x1.26eb9c03ed62cp-4"], 9, True),
     }
 
     @staticmethod
@@ -607,12 +694,6 @@ class TestOneAtATimeWalk:
         return [v.hex() for v in res.restart_values], res.iterations_used, res.converged
 
     @pytest.mark.parametrize("name,restarts", sorted(ANCHORS))
-    def test_results_match_one_at_a_time_walk_bit_for_bit(self, name, restarts, monkeypatch):
-        batched = self.run(name, restarts)
-        monkeypatch.setattr(capacity, "_walk", _one_at_a_time_walk)
-        assert batched == self.run(name, restarts)
-
-    @pytest.mark.parametrize("name,restarts", sorted(ANCHORS))
     def test_results_stay_at_anchors(self, name, restarts):
         values, rounds, converged = self.run(name, restarts)
         anchor_values, anchor_rounds, anchor_converged = self.ANCHORS[name, restarts]
@@ -623,11 +704,7 @@ class TestOneAtATimeWalk:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("make", [
-        lambda x: OptimizerConfig(value_tolerance=x),
-        lambda x: StepSchedule(x, 0.5),
-    ], ids=["value_tolerance", "initial_step"])
     @pytest.mark.parametrize("x", [math.nan, math.inf])
-    def test_non_finite_rejected(self, make, x):
+    def test_non_finite_rejected(self, x):
         with pytest.raises(ValueError, match="finite"):
-            make(x)
+            OptimizerConfig(value_tolerance=x)

@@ -181,6 +181,22 @@ class TestSubcommands:
         assert capsys.readouterr().err == (
             f'invariant violation: option "{key}" must be {what}, got {value!r}\n')
 
+    def test_huge_integer_tolerance_exit_2(self, tmp_path, capsys):
+        spec = z_spec(options={"tol": 10**400})
+        assert main(["capacity", write_spec(tmp_path, spec)]) == 2
+        assert capsys.readouterr().err == (
+            'invariant violation: option "tol" is too large for a float\n')
+
+    def test_huge_integer_energy_exit_2(self, tmp_path, capsys):
+        spec = z_spec(constraint={"F": mat(np.diag([0.0, 1.0])), "E": 10**400})
+        assert main(["gibbs", write_spec(tmp_path, spec)]) == 2
+        assert "invariant violation: constraint: " in capsys.readouterr().err
+
+    def test_huge_integer_matrix_entry_exit_3(self, tmp_path, capsys):
+        spec = z_spec(state={"re": [[10**400, 0], [0, 0]], "im": [[0, 0], [0, 0]]})
+        assert main(["measure", write_spec(tmp_path, spec)]) == 3
+        assert "state: re/im entries are not numeric" in capsys.readouterr().err
+
     def test_integer_tolerance_accepted(self, tmp_path, capsys):
         spec = z_spec(options={"tol": 1, "restarts": 2})
         assert main(["capacity", write_spec(tmp_path, spec)]) == 0
