@@ -1,7 +1,7 @@
 """Capacity optimizers and the constrained maximum-entropy (Gibbs) solver.
 
 Classical capacity: alternating optimization over pure-state ensembles
-from seeded restarts run in lockstep (``_multistart``); every stacked
+from seeded restarts run in lockstep as rows of one stack; every stacked
 kernel gives each restart the bits of a one-restart run.  A round moves
 the states, then solves the prior.  For a fixed prior w, I is convex in
 the rows P_x, and P_xy = ψ_x†M_yψ_x is linear in ψ_xψ_x†; so with p̄ = w·P
@@ -33,7 +33,7 @@ before its tolerance is met (converged=False).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,14 +60,11 @@ class OptimizerConfig:
     restarts: int = 8
     max_iterations: int = 200
     value_tolerance: float = 1e-7
-    ensemble_size_cap: int | None = None  # defaults to m + 1 at call time
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_iterations < 1 or not 0 < self.value_tolerance < math.inf:
             raise ValueError("restarts, max_iterations, value_tolerance must be positive,"
                              " value_tolerance finite")
-        if self.ensemble_size_cap is not None and self.ensemble_size_cap < 1:
-            raise ValueError("ensemble_size_cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -175,17 +172,11 @@ def _gibbs(eig: qmat.HermEigResult, E: float) -> GibbsSolution:
 # Blahut–Arimoto prior updates
 # ---------------------------------------------------------------------------
 
-def ba_prior_step(
-    pi: Ensemble, M: FinitePOVM, multiplier: float = 0.0, F=None
-) -> Ensemble:
-    """Blahut–Arimoto prior update π'_x ∝ π_x 2^{D(p(·|x)‖p̄) - multiplier·Tr S_x F}."""
+def ba_prior_step(pi: Ensemble, M: FinitePOVM) -> Ensemble:
+    """Blahut–Arimoto prior update π'_x ∝ π_x 2^{D(p(·|x)‖p̄)}."""
     P = np.stack([outcome_probs(s.matrix, M) for s in pi.states])
     P[P < 0.0] = 0.0
     logw = np.log2(np.maximum(pi.weights, 1e-300)) + hybrid._divergences(pi.weights, P)
-    if multiplier != 0.0 and F is not None:
-        fmat = qmat.as_complex_matrix(F)
-        logw -= multiplier * np.array(
-            [float(np.real(np.trace(s.matrix @ fmat))) for s in pi.states])
     nw = np.exp2(logw - logw.max())
     nw /= nw.sum()
     keep = nw > 1e-300
@@ -242,7 +233,7 @@ def _ba_fixed_point(W: np.ndarray, P: np.ndarray, steps: int = 300) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Multi-start driver (classical capacity)
+# Constraint check and best restart
 # ---------------------------------------------------------------------------
 
 def _feasible(M: FinitePOVM, constraint: EnergyConstraint | None):
@@ -258,49 +249,13 @@ def _feasible(M: FinitePOVM, constraint: EnergyConstraint | None):
     return F, E, eig
 
 
-def _multistart(cfg: OptimizerConfig, start, sweep) -> CapacityResult:
-    """Best of cfg.restarts ascents run in lockstep; argmax is the best raw point.
-
-    A point is a tuple of arrays whose leading axis is the restart.
-    ``start()`` gives every restart's first (point, values); ``sweep(point,
-    values)`` runs one round of the running restarts and gives (point,
-    values).  A restart converges once a round gains less than
-    ``value_tolerance``; it then leaves the stack and is neither swept nor
-    counted again.
-    """
-    point, value = start()
-    final_point, final_value = tuple(a.copy() for a in point), value.copy()
-
-    def record(restarts, rows):
-        for f, a in zip(final_point, point):
-            f[restarts] = a[rows]
-        final_value[restarts] = value[rows]
-
-    running = np.arange(cfg.restarts)
-    converged = np.zeros(cfg.restarts, dtype=bool)
-    rounds = 0
-    for _ in range(cfg.max_iterations):
-        rounds += running.size
-        point, new_value = sweep(point, value)
-        stop = new_value - value < cfg.value_tolerance
-        value = new_value
-        if np.count_nonzero(stop):
-            converged[running[stop]] = True
-            record(running[stop], stop)
-            go = ~stop
-            running, value = running[go], value[go]
-            point = tuple(a[go] for a in point)
-            if running.size == 0:
-                break
-    record(running, slice(None))
-    best, best_val = None, -math.inf
-    for r, v in enumerate(final_value.tolist()):  # the first of near-equal values wins
+def _first_best(values) -> int:
+    """Index of the best value in order: a later value wins only by more than 1e-15."""
+    best, best_val = 0, -math.inf
+    for r, v in enumerate(values):
         if v > best_val + 1e-15:
             best, best_val = r, v
-    argmax = None if best is None else tuple(a[best] for a in final_point)
-    return CapacityResult(best_val, argmax, rounds,
-                          best is not None and bool(converged[best]),
-                          tuple(final_value.tolist()))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +385,10 @@ def classical_capacity(
     the average state).  The value returned is realized by the returned
     ensemble and is therefore a valid lower bound on the supremum.
     """
-    d = M.dim
+    d, R = M.dim, cfg.restarts
     F, E, eig = _feasible(M, constraint)
     ground = None if eig is None else eig.eigenvectors[:, 0]
-    cap = cfg.ensemble_size_cap if cfg.ensemble_size_cap is not None else M.size + 1
+    cap = M.size + 1
     mutual_informations = hybrid._mutual_informations
     # the eigenvectors of the POVM elements, made feasible, for members of weight 0 to jump to
     pool = _project_pure_feasible(np.linalg.eigh(M.elements)[1].transpose(0, 2, 1).reshape(-1, d),
@@ -444,19 +399,21 @@ def classical_capacity(
         """D(Q_x‖p̄) in nats of rows Q (..., m), from ln p̄ (..., m)."""
         return (Q * (np.log(np.maximum(Q, 1e-300)) - log_pbar)).sum(axis=-1)
 
-    def start():
-        draws = []
-        for r in range(cfg.restarts):
-            rng = np.random.default_rng([cfg.seed, r])
-            draws.append(rng.standard_normal((cap, d)) + 1j * rng.standard_normal((cap, d)))
-        psis = _project_pure_feasible(np.stack(draws), F, E, ground)
-        P = _cond_rows(psis, M)
-        w = _ba_fixed_point(np.full((cfg.restarts, cap), 1.0 / cap), P)
-        # -inf: the first round's gain never counts toward convergence
-        return (w, psis, P), np.full(cfg.restarts, -math.inf)
-
-    def sweep(point, _):
-        w, psis, P = point
+    draws = []
+    for r in range(R):
+        rng = np.random.default_rng([cfg.seed, r])
+        draws.append(rng.standard_normal((cap, d)) + 1j * rng.standard_normal((cap, d)))
+    psis = _project_pure_feasible(np.stack(draws), F, E, ground)
+    P = _cond_rows(psis, M)
+    # (w, ψ, P) of every restart; a restart that converges leaves ``running``
+    # and keeps its rows
+    point = (_ba_fixed_point(np.full((R, cap), 1.0 / cap), P), psis, P)
+    # -inf: the first round's gain never counts toward convergence
+    values = np.full(R, -math.inf)
+    running, converged, rounds = np.arange(R), np.zeros(R, dtype=bool), 0
+    for _ in range(cfg.max_iterations):
+        rounds += running.size
+        w, psis, P = (a[running] for a in point)
         value = mutual_informations(w, P)
         pbar = (w[:, None, :] @ P)[:, 0, :]
         live = (pbar > 1e-12)[:, None, :]
@@ -485,14 +442,22 @@ def classical_capacity(
         dead = ((w[:, None, :] @ P)[:, 0, :] <= 1e-12)[:, None, :]
         w = np.where(zero & (dead & (P > 1e-3)).any(axis=-1), 1e-9, w)
         w = _ba_fixed_point(w / w.sum(axis=-1, keepdims=True), P)
-        return (w, psis, P), mutual_informations(w, P)
-
-    res = _multistart(cfg, start, sweep)
-    w, psis, _ = res.argmax
+        for a, rows in zip(point, (w, psis, P)):
+            a[running] = rows
+        new = mutual_informations(w, P)
+        stop = new - values[running] < cfg.value_tolerance
+        values[running] = new
+        converged[running[stop]] = True
+        running = running[~stop]
+        if running.size == 0:
+            break
+    best = _first_best(values.tolist())
+    w, psis, _ = (a[best] for a in point)
     keep = w > 1e-9
     states = tuple(DensityOperator(np.outer(v, v.conj())) for v in psis[keep])
     ensemble = Ensemble(w[keep] / w[keep].sum(), states)
-    return replace(res, value_bits=hybrid.mutual_information(ensemble, M), argmax=ensemble)
+    return CapacityResult(hybrid.mutual_information(ensemble, M), ensemble, rounds,
+                          bool(converged[best]), tuple(values.tolist()))
 
 
 # ---------------------------------------------------------------------------

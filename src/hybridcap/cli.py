@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -48,6 +49,14 @@ def _fail_parse(path: str, msg: str):
     raise SpecParseError(f"{path}: {msg}")
 
 
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _numbers(values) -> bool:
+    """True iff every value is a JSON number: an int or a float, not a bool, string or null."""
+    return _NUMBER_TYPES.issuperset(map(type, values))
+
+
 def _matrix_from_json(obj, dim: int, path: str) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         _fail_parse(path, 'expected an object with "re" and "im" arrays')
@@ -58,6 +67,9 @@ def _matrix_from_json(obj, dim: int, path: str) -> np.ndarray:
         _fail_parse(path, "re/im entries are not numeric")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         _fail_parse(path, f"expected {dim}x{dim} arrays, got {re.shape} and {im.shape}")
+    # the shapes hold, so both are lists of dim rows of dim scalars
+    if not _numbers(chain(*obj["re"], *obj["im"])):
+        _fail_parse(path, "re/im entries are not numeric")
     return re + 1j * im
 
 
@@ -160,6 +172,8 @@ def parse_spec(path: str) -> ChannelSpec:
             _matrix_from_json(s, dim, f"{path}: ensemble.states[{k}]")
             for k, s in enumerate(e["states"])
         ]
+        if not _numbers(e["weights"]):
+            raise SpecInvariantError(f"ensemble: weights must be numbers, got {e['weights']!r}")
         ensemble = _construct("ensemble: ", lambda: hybrid.Ensemble(
             np.asarray(e["weights"], dtype=float),
             tuple(hybrid.DensityOperator(m) for m in mats)))

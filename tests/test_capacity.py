@@ -31,11 +31,11 @@ from hybridcap import hybrid, qmat
 from hybridcap.capacity import (
     _ba_fixed_point,
     _cond_rows,
-    _multistart,
+    _first_best,
     _project_pure_feasible,
     _top_feasible,
 )
-from hybridcap.errors import InfeasibleEnergy
+from hybridcap.errors import DimensionMismatch, InfeasibleEnergy
 
 TWO_LEVEL_E = 1.0 / (1.0 + math.e)  # Gibbs energy of F=diag(0,1) at beta=1
 TWO_LEVEL_ENTROPY = -(TWO_LEVEL_E * math.log2(TWO_LEVEL_E)
@@ -205,6 +205,11 @@ class TestClassicalCapacity:
             classical_capacity(
                 z_povm(), EnergyConstraint(np.diag([1.0, 2.0]), 0.5), FAST
             )
+
+    @pytest.mark.parametrize("solve", [classical_capacity, ea_capacity])
+    def test_constraint_dimension_mismatch(self, solve):
+        with pytest.raises(DimensionMismatch, match="constraint dimension"):
+            solve(z_povm(), EnergyConstraint(np.diag([0.0, 1.0, 2.0]), 0.5), FAST)
 
     @pytest.mark.parametrize("i", [16, 48])
     def test_commuting_channel_converges_at_its_capacity(self, i):
@@ -652,21 +657,9 @@ class TestLockstepRestarts:
     def test_best_choice_keeps_lowest_restart_within_1e15(self):
         # sequential "> best + 1e-15" over r = 0..R-1: restart 1 ties with 0,
         # restart 2 beats 0, restart 3 ties with 2; argmax would pick 3
-        values = np.array([0.5, 0.5 + 8e-16, 0.5 + 1.6e-15, 0.5 + 2.2e-15])
-
-        def start():
-            return (np.arange(4.0),), values.copy()
-
-        def sweep(point, value):
-            return point, value
-
-        # a round that gains nothing stops every restart after one round
-        cfg = OptimizerConfig(restarts=4, max_iterations=3)
-        res = _multistart(cfg, start, sweep)
-        assert res.argmax == (2.0,)
-        assert res.value_bits == values[2]
-        assert res.restart_values == tuple(values)
-        assert res.iterations_used == 4 and res.converged
+        values = [0.5, 0.5 + 8e-16, 0.5 + 1.6e-15, 0.5 + 2.2e-15]
+        assert _first_best(values) == 2
+        assert np.argmax(values) == 3
 
 
 class TestClassicalAnchors:

@@ -1,12 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hybridcap import CapacityResult, DensityOperator, Ensemble, cli
 from hybridcap.cli import main, parse_spec
 
 
@@ -25,6 +28,17 @@ def z_spec(**extra):
     }
     spec.update(extra)
     return spec
+
+
+def ascent_spec():
+    """A random 3-outcome qubit POVM of full-rank elements: ea takes the ascent path."""
+    rng = np.random.default_rng(5)
+    mats = [g @ g.conj().T for g in rng.standard_normal((3, 2, 2))
+            + 1j * rng.standard_normal((3, 2, 2))]
+    w, V = np.linalg.eigh(sum(mats))
+    W = (V / np.sqrt(w)) @ V.conj().T
+    return {"dim": 2, "povm": [{"label": str(k), **mat(W @ A @ W)}
+                               for k, A in enumerate(mats)]}
 
 
 def write_spec(tmp_path, spec, name="spec.json"):
@@ -109,6 +123,29 @@ class TestValidate:
         assert main(["mi", write_spec(tmp_path, z_spec(ensemble=ensemble))]) == 3
         assert '"weights" and "states" must be lists' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", [True, "1", None])
+    def test_non_number_matrix_entry_exit_3(self, tmp_path, capsys, entry):
+        spec = z_spec()
+        spec["povm"][1]["re"][1][1] = entry
+        assert main(["validate", write_spec(tmp_path, spec)]) == 3
+        assert "povm[1]: re/im entries are not numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", [["0.5", 0.5], [True, False]])
+    def test_non_number_weight_exit_2(self, tmp_path, capsys, weights):
+        spec = z_spec(ensemble={
+            "weights": weights,
+            "states": [mat(np.diag([1.0, 0.0])), mat(np.diag([0.0, 1.0]))],
+        })
+        assert main(["mi", write_spec(tmp_path, spec)]) == 2
+        assert capsys.readouterr().err == (
+            f"invariant violation: ensemble: weights must be numbers, got {weights!r}\n")
+
+    def test_readme_example_parses(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        spec = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        assert main(["validate", write_spec(tmp_path, spec)]) == 0
+        assert "ensemble (2 members)" in capsys.readouterr().out
+
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 3
 
@@ -135,6 +172,12 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "p(0) = 0.750000" in out and "p(1) = 0.250000" in out
 
+    def test_measure_csv(self, full_file, tmp_path):
+        path = tmp_path / "probs.csv"
+        assert main(["measure", full_file, "--csv", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == (
+            "outcome,probability\n0,0.750000\n1,0.250000\n")
+
     def test_measure_requires_state(self, z_file, capsys):
         assert main(["measure", z_file]) == 2
 
@@ -157,6 +200,20 @@ class TestSubcommands:
     def test_capacity(self, z_file, capsys):
         assert main(["capacity", z_file, "--restarts", "2"]) == 0
         assert "C = 1.000000 bits" in capsys.readouterr().out
+
+    def test_capacity_nonconverged_exit_5(self, z_file, tmp_path, capsys, monkeypatch):
+        # real runs converge even at --tol 1e-300, so the optimizer is stubbed
+        state = DensityOperator(np.diag([1.0, 0.0]))
+        result = CapacityResult(0.25, Ensemble([1.0], (state,)), 7, False, (0.25,))
+        monkeypatch.setattr(cli.cap, "classical_capacity", lambda *args: result)
+        path = tmp_path / "c.csv"
+        assert main(["capacity", z_file, "--csv", str(path)]) == 5
+        assert capsys.readouterr().out == (
+            "C = 0.250000 bits\n"
+            "ensemble size: 1; iterations: 7; converged: False\n"
+            "warning: optimizer did not converge; value is a lower bound\n")
+        assert path.read_text(encoding="utf-8") == (
+            "value_bits,converged,iterations\n0.250000,False,7\n")
 
     def test_capacity_nan_tolerance_exit_2(self, z_file, capsys):
         assert main(["capacity", z_file, "--tol", "nan"]) == 2
@@ -212,6 +269,11 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "C_ea = 1.000000 bits" in out
         assert "path: gibbs (rank-1 POVM)" in out
+
+    def test_ea_ascent_path(self, tmp_path, capsys):
+        assert main(["ea", write_spec(tmp_path, ascent_spec())]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        assert re.fullmatch(r"path: concave ascent; steps: \d+; converged: True", line)
 
     def test_gibbs(self, full_file, capsys):
         assert main(["gibbs", full_file]) == 0
@@ -347,14 +409,7 @@ class TestSeedsAndDeterminism:
         assert a.stdout == b.stdout
 
     def test_ea_ascent_reruns_byte_identical(self, tmp_path):
-        rng = np.random.default_rng(5)
-        mats = [g @ g.conj().T for g in rng.standard_normal((3, 2, 2))
-                + 1j * rng.standard_normal((3, 2, 2))]
-        w, V = np.linalg.eigh(sum(mats))
-        W = (V / np.sqrt(w)) @ V.conj().T
-        spec = {"dim": 2, "povm": [{"label": str(k), **mat(W @ A @ W)}
-                                   for k, A in enumerate(mats)]}
-        args = ["ea", write_spec(tmp_path, spec)]
+        args = ["ea", write_spec(tmp_path, ascent_spec())]
         a = run_cli(args)
         b = run_cli(args)
         assert a.returncode == b.returncode == 0

@@ -236,6 +236,19 @@ class TestHybridRelativeEntropy:
         h2 = HybridState(("a", "b"), b2)
         assert abs(hybrid_relative_entropy(h1, h2) - 1.0) <= 1e-9
 
+    def test_support_violation_is_inf(self):
+        h1 = HybridState(("a", "b"), (0.5 * np.diag([1.0, 0.0]).astype(complex),) * 2)
+        h2 = HybridState(("a", "b"), (0.5 * np.diag([0.0, 1.0]).astype(complex),) * 2)
+        assert hybrid_relative_entropy(h1, h2) == math.inf
+
+    def test_zero_trace_block_skipped(self):
+        # block b of h1 is empty: only block a counts, D(|0><0| ‖ |0><0|/2) = 1 bit
+        h1 = HybridState(("a", "b"), (np.diag([1.0, 0.0]).astype(complex),
+                                      np.zeros((2, 2), dtype=complex)))
+        h2 = HybridState(("a", "b"), (np.diag([0.5, 0.0]).astype(complex),
+                                      np.diag([0.0, 0.5]).astype(complex)))
+        assert abs(hybrid_relative_entropy(h1, h2) - 1.0) <= 1e-12
+
     def test_label_mismatch(self):
         h1 = HybridState(("a",), (np.eye(2, dtype=complex) / 2,))
         h2 = HybridState(("b",), (np.eye(2, dtype=complex) / 2,))
