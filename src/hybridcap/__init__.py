@@ -55,5 +55,9 @@ from .optics import (
 )
 from .qmat import HermEigResult, herm_eig, matrix_sqrt_psd, validate_hermitian
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import types as _types
+
+# the names above, without the submodules their imports bind
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _types.ModuleType)]
 __version__ = "0.1.0"

@@ -92,15 +92,14 @@ class GibbsSolution:
 # ---------------------------------------------------------------------------
 
 def _gibbs_from_beta(f: np.ndarray, beta: float):
-    """(weights, energy, entropy_bits, ln c) for spectrum f at inverse temp beta."""
+    """(weights, energy, ln c) for spectrum f at inverse temp beta."""
     shifted = -beta * (f - f[0])
     z = np.exp(shifted)
     c = float(z.sum())
     w = z / c
     energy = float(w @ f)
     ln_c = -beta * f[0] + math.log(c)
-    ent = entropy_of_spectrum(w)
-    return w, energy, ent, ln_c
+    return w, energy, ln_c
 
 
 def _decreasing_root(energy, E: float, tol: float, hi: float = 1.0) -> float:
@@ -141,31 +140,26 @@ def _gibbs(eig: qmat.HermEigResult, E: float) -> GibbsSolution:
     """gibbs_state from the eigendecomposition of F."""
     f = eig.eigenvalues
     V = eig.eigenvectors
-    d = f.shape[0]
     if E < f[0] - 1e-12:
         raise InfeasibleEnergy(f"E = {E} below the smallest eigenvalue {f[0]} of F")
-
-    def build(beta: float) -> GibbsSolution:
-        w, energy, ent, ln_c = _gibbs_from_beta(f, beta)
-        mat = (V * w) @ V.conj().T
-        mat = (mat + mat.conj().T) / 2.0
-        return GibbsSolution(beta, DensityOperator(mat), energy, ent, ln_c)
-
-    mean = float(f.sum()) / d
+    mean = float(f.sum()) / f.shape[0]
     if E >= mean:
-        return build(0.0)
-    if E <= f[0]:
+        beta = 0.0
+    elif E > f[0]:
+        tol = 1e-10 * max(1.0, abs(E))
+        beta = _decreasing_root(lambda b: _gibbs_from_beta(f, b)[1], E, tol)
+    else:
         # boundary: maximum entropy over the ground eigenspace (beta -> inf)
         gmask = f <= f[0] + 1e-12
         k = int(gmask.sum())
         w = np.where(gmask, 1.0 / k, 0.0)
-        mat = (V * w) @ V.conj().T
-        mat = (mat + mat.conj().T) / 2.0
-        return GibbsSolution(
-            math.inf, DensityOperator(mat), float(w @ f), math.log2(k), -math.inf
-        )
-    tol = 1e-10 * max(1.0, abs(E))
-    return build(_decreasing_root(lambda b: _gibbs_from_beta(f, b)[1], E, tol))
+        beta, ln_c, entropy = math.inf, -math.inf, math.log2(k)
+    if beta < math.inf:
+        w, _, ln_c = _gibbs_from_beta(f, beta)
+        entropy = entropy_of_spectrum(w)
+    mat = (V * w) @ V.conj().T
+    mat = (mat + mat.conj().T) / 2.0
+    return GibbsSolution(beta, DensityOperator(mat), float(w @ f), entropy, ln_c)
 
 
 # ---------------------------------------------------------------------------

@@ -140,9 +140,9 @@ def parse_spec(path: str) -> ChannelSpec:
     for k, entry in enumerate(raw["povm"]):
         if not isinstance(entry, dict) or "label" not in entry:
             _fail_parse(path, f'povm[{k}]: expected an object with a "label"')
-        pairs.append(
-            (str(entry["label"]), _matrix_from_json(entry, dim, f"{path}: povm[{k}]"))
-        )
+        if not isinstance(entry["label"], str):
+            _fail_parse(path, f'povm[{k}]: "label" must be a string')
+        pairs.append((entry["label"], _matrix_from_json(entry, dim, f"{path}: povm[{k}]")))
     povm = _construct("", lambda: hybrid.FinitePOVM.from_pairs(pairs))
 
     state = None

@@ -66,6 +66,10 @@ class FinitePOVM:
         labels = tuple(str(x) for x in self.labels)
         if len(labels) != elems.shape[0]:
             raise ValueError("label count does not match element count")
+        # decoding keys words by label, so two outcomes may not share one
+        for k, label in enumerate(labels):
+            if label in labels[:k]:
+                raise ValueError(f"POVM label {label!r} repeats")
         qmat.check_psd_stack(
             elems,
             "POVM element {label} is not Hermitian",

@@ -82,10 +82,10 @@ def check_psd_stack(stack, not_hermitian: str, negative: str, labels=("",)) -> N
         raise ValueError(f"{name} has non-finite entries")
     adj = stack.conj().transpose(0, 2, 1)
     hermitian = np.abs(stack - adj).max(axis=(1, 2)) <= 1e-8
-    # non-Hermitian matrices are zeroed so LAPACK sees only Hermitian input
-    sym = np.where(hermitian[:, None, None], (stack + adj) / 2.0, 0.0)
-    w = np.linalg.eigvalsh(sym)[:, 0]
-    fault = np.flatnonzero(~hermitian | (w < PSD_FLOOR))
+    # halved before the sum, which cannot overflow for finite entries
+    w = np.linalg.eigvalsh(stack / 2.0 + adj / 2.0)[:, 0]
+    # a NaN eigenvalue is a fault too
+    fault = np.flatnonzero(~hermitian | ~(w >= PSD_FLOOR))
     if fault.size:
         k = fault[0]
         if not hermitian[k]:

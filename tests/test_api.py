@@ -14,11 +14,11 @@ PUBLIC = [
     "EnergyConstraint", "Ensemble", "FinitePOVM", "GibbsSolution", "HermEigResult",
     "HybridState", "OptimizerConfig", "OutcomeDistribution", "RateExperimentResult",
     "average_error", "average_state", "ba_prior_step", "c_heterodyne", "c_homodyne",
-    "capacity", "cea_oscillator", "chi_cq", "classical_capacity", "codeword_distribution",
-    "coding", "curve_table", "ea_capacity", "energy_ok", "entropy_reduction", "errors",
-    "gibbs_state", "herm_eig", "homodyne_entropy_bound", "hybrid", "hybrid_entropy",
+    "cea_oscillator", "chi_cq", "classical_capacity", "codeword_distribution",
+    "curve_table", "ea_capacity", "energy_ok", "entropy_reduction",
+    "gibbs_state", "herm_eig", "homodyne_entropy_bound", "hybrid_entropy",
     "hybrid_relative_entropy", "is_pure_povm", "matrix_sqrt_psd", "measure",
-    "ml_partition", "mutual_information", "optics", "posterior", "qmat",
+    "ml_partition", "mutual_information", "posterior",
     "rate_experiment", "relative_entropy_q", "shannon_entropy",
     "truncated_oscillator_check", "validate_hermitian", "vn_entropy",
 ]

@@ -27,7 +27,7 @@ from hybridcap import (
     mutual_information,
     vn_entropy,
 )
-from hybridcap import hybrid, qmat
+from hybridcap import capacity, hybrid, qmat
 from hybridcap.capacity import (
     _ba_fixed_point,
     _cond_rows,
@@ -35,7 +35,7 @@ from hybridcap.capacity import (
     _project_pure_feasible,
     _top_feasible,
 )
-from hybridcap.errors import DimensionMismatch, InfeasibleEnergy
+from hybridcap.errors import BracketFailure, DimensionMismatch, InfeasibleEnergy
 
 TWO_LEVEL_E = 1.0 / (1.0 + math.e)  # Gibbs energy of F=diag(0,1) at beta=1
 TWO_LEVEL_ENTROPY = -(TWO_LEVEL_E * math.log2(TWO_LEVEL_E)
@@ -85,6 +85,26 @@ class TestGibbsState:
         sol = gibbs_state(np.diag([0.5, 1.5, 2.5]), 0.5)
         assert sol.entropy_bits <= 1e-12
         np.testing.assert_allclose(sol.state.matrix, np.diag([1.0, 0, 0]), atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_entropy_per_interior_solve(self, seed, monkeypatch):
+        # the bisection reads energies only; the entropy is taken once, at the root
+        calls = []
+        entropy = capacity.entropy_of_spectrum
+        monkeypatch.setattr(capacity, "entropy_of_spectrum",
+                            lambda w: calls.append(w) or entropy(w))
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        F = g @ g.conj().T
+        w = np.linalg.eigvalsh(F)
+        sol = gibbs_state(F, float(w[0] + 0.3 * (w.mean() - w[0])))
+        assert 0.0 < sol.beta < math.inf
+        assert len(calls) == 1
+
+    def test_energy_a_hair_above_ground_raises_bracket_failure(self):
+        # E - f0 = 1e-26 > 0 skips the boundary branch but needs beta beyond 2^60
+        with pytest.raises(BracketFailure, match="2\\^60"):
+            gibbs_state(np.diag([0.0, 1e-25, 1.0]), 1e-26)
 
 
 class TestBaPriorStep:

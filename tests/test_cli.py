@@ -115,6 +115,44 @@ class TestValidate:
     def test_missing_field_exit_3(self, tmp_path):
         assert main(["validate", write_spec(tmp_path, {"dim": 2})]) == 3
 
+    @pytest.mark.parametrize("spec, msg", [
+        ([z_spec()], "top-level value must be an object"),
+        ({"dim": 2, "povm": [mat(np.eye(2))]}, 'povm[0]: expected an object with a "label"'),
+        (z_spec(state=[[1.0, 0.0], [0.0, 0.0]]),
+         'state: expected an object with "re" and "im" arrays'),
+        (z_spec(state=mat(np.eye(3) / 3)), "state: expected 2x2 arrays, got (3, 3) and (3, 3)"),
+        (z_spec(constraint={"F": mat(np.eye(2))}),
+         'constraint: expected an object with "F" and "E"'),
+        (z_spec(ensemble={"weights": [1.0]}),
+         'ensemble: expected an object with "weights" and "states"'),
+        (z_spec(options=[1]), 'field "options" must be an object'),
+    ], ids=["top-level", "povm entry", "matrix object", "matrix shape", "constraint",
+            "ensemble", "options"])
+    def test_structural_error_exit_3(self, tmp_path, capsys, spec, msg):
+        assert main(["validate", write_spec(tmp_path, spec)]) == 3
+        assert msg in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", [True, None, 0, [1]])
+    def test_non_string_label_exit_3(self, tmp_path, capsys, label):
+        # each used to print as p(True), p(None), p(0) or p([1]) with exit 0
+        spec = z_spec(state=mat(np.diag([0.75, 0.25])))
+        spec["povm"][1]["label"] = label
+        assert main(["measure", write_spec(tmp_path, spec)]) == 3
+        assert 'povm[1]: "label" must be a string' in capsys.readouterr().err
+
+    def test_duplicate_label_exit_2(self, tmp_path, capsys):
+        spec = z_spec()
+        spec["povm"][1]["label"] = "0"
+        assert main(["validate", write_spec(tmp_path, spec)]) == 2
+        assert capsys.readouterr().err == "invariant violation: POVM label '0' repeats\n"
+
+    def test_constraint_near_overflow_exit_2(self, tmp_path, capsys):
+        # F + F† overflows here; its NaN spectrum used to pass the PSD check
+        spec = z_spec(constraint={"F": mat(np.diag([1e308, -1e308])), "E": 1.0})
+        assert main(["validate", write_spec(tmp_path, spec)]) == 2
+        assert capsys.readouterr().err == (
+            "invariant violation: constraint: constraint operator F has eigenvalue below -1e-9\n")
+
     @pytest.mark.parametrize("ensemble", [
         {"weights": [1.0], "states": 5},
         {"weights": 1.0, "states": [mat(np.diag([1.0, 0.0]))]},
@@ -148,6 +186,13 @@ class TestValidate:
 
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.json")]) == 3
+
+    def test_dump_normalized_keeps_options(self, tmp_path):
+        options = {"seed": 3, "restarts": 2, "tol": 1e-6}
+        out = tmp_path / "norm.json"
+        spec = write_spec(tmp_path, z_spec(options=options))
+        assert main(["validate", spec, "--dump-normalized", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["options"] == options
 
     def test_dump_normalized_round_trip(self, full_file, tmp_path):
         out = str(tmp_path / "norm.json")
@@ -304,6 +349,14 @@ class TestSubcommands:
     def test_gibbs_infeasible_exit_4(self, tmp_path, capsys):
         spec = z_spec(constraint={"F": mat(np.diag([1.0, 2.0])), "E": 0.5})
         assert main(["gibbs", write_spec(tmp_path, spec)]) == 4
+
+    def test_gibbs_bracket_failure_exit_4(self, tmp_path, capsys):
+        # E - f0 = 1e-26 is above the ground energy, but no beta below 2^60 reaches it
+        spec = z_spec(constraint={"F": mat(np.diag([0.0, 1e-25, 1.0])), "E": 1e-26})
+        spec["dim"], spec["povm"] = 3, [{"label": "0", **mat(np.eye(3))}]
+        assert main(["gibbs", write_spec(tmp_path, spec)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "beta bracket exceeded 2^60" in captured.err
 
     def test_capacity_infeasible_exit_4(self, tmp_path, capsys):
         spec = z_spec(constraint={"F": mat(np.diag([1.0, 2.0])), "E": 0.5})

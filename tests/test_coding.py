@@ -19,7 +19,7 @@ from hybridcap import (
     rate_experiment,
 )
 from hybridcap.coding import _all_words
-from hybridcap.errors import EnumerationTooLarge
+from hybridcap.errors import DimensionMismatch, EnumerationTooLarge
 from hybridcap.hybrid import outcome_probs
 
 
@@ -97,6 +97,21 @@ class TestWordEnumeration:
         )
 
 
+class TestCodebook:
+    @pytest.mark.parametrize("words, exc, msg", [
+        ((), ValueError, "codebook needs N >= 1 codewords of length n >= 1"),
+        (((),), ValueError, "codebook needs N >= 1 codewords of length n >= 1"),
+        (((ket(2, 0),), (ket(2, 0), ket(2, 1))), ValueError,
+         "all codewords must share the block length"),
+        (((ket(2, 0),), (ket(3, 0),)), DimensionMismatch,
+         "codeword slots have mixed dimensions"),
+    ])
+    def test_rejected(self, words, exc, msg):
+        with pytest.raises(exc) as info:
+            Codebook(words)
+        assert str(info.value) == msg
+
+
 class TestMlPartition:
     def test_orthogonal_codewords(self):
         part = ml_partition(binary_book(1), z_povm())
@@ -162,6 +177,11 @@ class TestAverageError:
         est, half = average_error(book, part, M, mode="monte_carlo",
                                   trials=2000, seed=0)
         assert abs(est - exact) <= 3 * half
+
+    def test_unknown_mode_rejected(self):
+        book = binary_book(1)
+        with pytest.raises(ValueError, match="unknown mode 'sampled'"):
+            average_error(book, ml_partition(book, z_povm()), z_povm(), mode="sampled")
 
     def test_monte_carlo_deterministic(self):
         book = binary_book(3)

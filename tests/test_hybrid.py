@@ -432,6 +432,33 @@ class TestValidation:
          "constraint operator F has eigenvalue below -1e-9"),
         (lambda: EnergyConstraint(np.array([[1.0, 1.0], [0.0, 1.0]]), 1.0),
          NonHermitianInput, "constraint operator F is not Hermitian"),
+        (lambda: DensityOperator(np.ones(3)), ValueError,
+         "expected a square matrix, got shape (3,)"),
+        (lambda: FinitePOVM(("a",), np.eye(2)), ValueError,
+         "POVM elements must have shape (m, d, d), got (2, 2)"),
+        (lambda: FinitePOVM(("a",), z_povm().elements), ValueError,
+         "label count does not match element count"),
+        (lambda: FinitePOVM(("a", "a"), z_povm().elements), ValueError,
+         "POVM label 'a' repeats"),
+        (lambda: FinitePOVM((0, "0"), z_povm().elements), ValueError,
+         "POVM label '0' repeats"),
+        (lambda: OutcomeDistribution([1.5, -0.5]), ValueError,
+         "probability -5.000e-01 below -1e-12"),
+        (lambda: OutcomeDistribution([0.5, 0.25]), ValueError,
+         "probabilities sum to 0.75, off by more than 1e-9"),
+        (lambda: HybridState(("x",), ()), ValueError,
+         "label count does not match block count"),
+        (lambda: Ensemble([], ()), ValueError,
+         "ensemble needs matching, non-empty weights and states"),
+        (lambda: Ensemble([1.0, 0.0], (ket(2, 0), ket(2, 1))), ValueError,
+         "ensemble weights must be strictly positive"),
+        (lambda: Ensemble([0.5, 0.25], (ket(2, 0), ket(2, 1))), ValueError,
+         "ensemble weights must sum to 1 within 1e-9"),
+        (lambda: Ensemble([0.5, 0.5], (ket(2, 0), ket(3, 1))), DimensionMismatch,
+         "ensemble members have mixed dimensions"),
+        (lambda: chi_cq([0.5, 0.5], [HybridState(("a",), (np.eye(1),)),
+                                     HybridState(("b",), (np.eye(1),))]),
+         LabelMismatch, "hybrid states have different outcome labels"),
     ])
     def test_error_and_message(self, build, exc, msg):
         with pytest.raises(exc) as info:
@@ -457,6 +484,21 @@ class TestValidation:
             with pytest.raises(ValueError) as info:
                 build(bad)
         assert type(info.value) is ValueError
+        assert str(info.value) == msg
+
+    @pytest.mark.parametrize("build, msg", [
+        (lambda: EnergyConstraint(np.diag([1e308, -1e308]), 1.0),
+         "constraint operator F has eigenvalue below -1e-9"),
+        (lambda: FinitePOVM.from_pairs([("a", [[1e308, 1e308], [1e308, 0.0]]),
+                                        ("b", np.eye(2))]),
+         "POVM element a eigenvalue -6.180e+307 below -1e-9"),
+    ])
+    def test_entries_near_overflow_checked(self, build, msg):
+        # A + A† would overflow to inf and its spectrum to NaN, which passed the check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NegativeEigenvalue) as info:
+                build()
         assert str(info.value) == msg
 
     @pytest.mark.parametrize("E", [float("nan"), -1.0])

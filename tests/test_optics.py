@@ -46,6 +46,10 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             func(0.3)
 
+    def test_entropy_bound_domain_guard(self):
+        with pytest.raises(DomainError, match="must be positive"):
+            homodyne_entropy_bound(0.0)
+
     def test_strictly_increasing(self):
         grid = np.linspace(0.5 + 1e-6, 20.0, 200)
         for func in (cea_oscillator, c_homodyne, c_heterodyne,
@@ -110,6 +114,10 @@ class TestTruncatedOscillator:
     def test_converged_truncation(self):
         _, _, gap = truncated_oscillator_check(1.0, 60)
         assert abs(gap) <= 1e-6
+
+    def test_single_level_rejected(self):
+        with pytest.raises(DomainError, match="n_max must be >= 2"):
+            truncated_oscillator_check(1.0, 1)
 
     def test_refinement_monotone(self):
         gaps = [abs(truncated_oscillator_check(1.0, n)[2]) for n in (3, 10, 30, 60)]
