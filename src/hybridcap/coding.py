@@ -7,17 +7,21 @@ format but is never used by ML.
 
 Outcome words are (count, n) arrays of outcome indices, sampled by inverse
 CDF.  Monte Carlo ``average_error`` draws from one ``default_rng(seed)``;
-``rate_experiment`` from one ``default_rng([seed, n, b])`` per codebook b
-at block length n: its codewords (by inverse CDF of the weights, the same
-numbers ``Generator.choice`` gave), then all its messages, then their
-per-slot uniforms.  This layout replaced one generator per trial, so Monte
-Carlo numbers differ from earlier versions; reruns with the same seed stay
-identical.
+``rate_experiment`` draws codebook b at block length n from the stream of
+``default_rng([seed, n, b])``: its codewords (by inverse CDF of the weights,
+the same numbers ``Generator.choice`` gave), then all its messages, then
+their per-slot uniforms.  This layout replaced one generator per trial, so
+Monte Carlo numbers differ from earlier versions; reruns with the same seed
+stay identical.  The PCG64 states of a block length's codebooks are
+computed in one vectorised pass (NumPy's SeedSequence hash and PCG64
+seeding step, which NEP 19 keeps fixed) and set in turn on one generator;
+a test pins them to ``default_rng``'s.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,10 @@ from .hybrid import Ensemble, FinitePOVM, OutcomeDistribution, outcome_probs
 _ENUM_BITS = 20
 # rate_experiment decodes codebooks in groups of at most ~this many (codeword, trial) pairs
 _GROUP_BUDGET = 1 << 15
+# NumPy's SeedSequence hash (pool of 4 uint32 words) and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,56 @@ def _sample_words(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum((cdf < u[..., None]).sum(axis=-1), cdf.shape[-1] - 1)
 
 
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult^i mod 2^32 for i = 0 .. count, as uint32."""
+    return np.multiply.accumulate(np.array([init] + [mult] * count, np.uint32), dtype=np.uint32)
+
+
+def _hashmix(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of len(c) - 1 successive calls: call i mixes row i of
+    v (broadcast against c) with hash constants c[i], c[i + 1]."""
+    v = (v ^ c[:-1, None]) * c[1:, None]
+    return v ^ (v >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two words."""
+    r = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _codebook_states(seed: int, n: int, books: int) -> list:
+    """``default_rng([seed, n, b]).bit_generator.state`` for b < books, computed
+    as one uint32 array pass over the books instead of one SeedSequence each."""
+    # the entropy: each int as its little-endian 32-bit words, one column per book
+    head = [k >> s & _MASK32 for k in map(operator.index, (seed, n))
+            for s in range(0, max(k.bit_length(), 1), 32)]
+    ent = np.empty((len(head) + 1, books), dtype=np.uint32)
+    ent[:-1] = np.array(head, dtype=np.uint32)[:, None]
+    ent[-1] = np.arange(books)
+    # mix_entropy: 4 + 12 hashmix calls, then 4 per entropy word past the pool of 4
+    c = _hash_consts(_INIT_A, _MULT_A, 4 * max(len(ent), 4))
+    pool = np.zeros((4, books), dtype=np.uint32)
+    pool[:len(ent)] = ent[:4]
+    pool = _hashmix(pool, c[:5])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[4 + 3 * src:8 + 3 * src]))
+    for src in range(4, len(ent)):
+        pool = _mix(pool, _hashmix(ent[src], c[4 * src:4 * src + 5]))
+    # generate_state(4, uint64): word pairs, low word first, give initstate (high,
+    # low) and initseq (high, low); then PCG64's two-step seeding from them
+    w = _hashmix(np.concatenate((pool, pool)), _hash_consts(_INIT_B, _MULT_B, 8))
+    w = w.astype(np.uint64)
+    states = []
+    for hi, lo, seq_hi, seq_lo in (w[0::2] | w[1::2] << np.uint64(32)).T.tolist():
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = (((hi << 64 | lo) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def ml_partition(book: Codebook, M: FinitePOVM) -> DecoderPartition:
     """Maximum-likelihood decoding partition over all outcome words.
 
@@ -134,18 +192,22 @@ def average_error(book: Codebook, part: DecoderPartition, M: FinitePOVM,
     and returns (estimate, 95% normal-approximation half-width).
     """
     P = _slot_probs(book, M)
-    if mode == "exact":
-        words = _all_words(book.n, M.size)
-    elif mode == "monte_carlo":
+    if mode == "monte_carlo":
         rng = np.random.default_rng(seed)
         j = rng.integers(book.N, size=trials)
         words = _sample_words(P.cumsum(axis=2)[j], rng.random((trials, book.n)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    decoded = np.array([part.decode(w) for w in _label_words(M, words)], dtype=int)
-    if mode == "monte_carlo":
+        # decode each distinct word once, keyed by its base-m index; words too
+        # long for an int64 index are each their own key
+        key = (words @ M.size ** np.arange(book.n) if book.n * math.log2(M.size) < 63
+               else np.arange(trials))
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        decoded = np.array([part.decode(w) for w in _label_words(M, words[first])], dtype=int)[inv]
         est = int(np.count_nonzero(decoded != j + 1)) / trials
         return est, 1.96 * math.sqrt(est * (1.0 - est) / trials)
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
+    words = _all_words(book.n, M.size)
+    decoded = np.array([part.decode(w) for w in _label_words(M, words)], dtype=int)
     # erasures (0) and indices above N decode to no codeword: errors
     ok = np.flatnonzero((decoded >= 1) & (decoded <= book.N))
     lik = _word_likelihoods(P, words)
@@ -170,6 +232,9 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
         raise ValueError("rate R must be positive")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     n_list = tuple(n_list)
     if min(n_list, default=1) < 1:
         raise ValueError(f"block lengths must be >= 1, got {min(n_list)}")
@@ -185,6 +250,7 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
         log_rows = np.log(member_rows)  # -inf on zero-probability outcomes is fine
     weight_cdf = ensemble.weights.cumsum()  # as Generator.choice(p=weights) forms it
     weight_cdf /= weight_cdf[-1]
+    rng = np.random.default_rng(0)  # each codebook sets its own state below
     entries = []
     for n in n_list:
         N = math.ceil(2.0 ** (n * R))
@@ -198,6 +264,7 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
         per_book, extra = divmod(trials, books)
         c = per_book + (extra > 0)  # trials per book, the short ones padded
         group = max(1, _GROUP_BUDGET // (N * c))
+        states = _codebook_states(seed, n, books)
         failures = 0
         for b0 in range(0, books, group):
             counts = per_book + (np.arange(b0, min(b0 + group, books)) < extra)
@@ -206,7 +273,7 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
             j = np.zeros((G, c), dtype=np.int64)
             u = np.zeros((G, c, n))  # a book one trial short pads with message 0
             for g, cb in enumerate(counts.tolist()):
-                rng = np.random.default_rng([seed, n, b0 + g])
+                rng.bit_generator.state = states[b0 + g]  # default_rng([seed, n, b0 + g])
                 rng.random(out=U[g])
                 j[g, :cb] = rng.integers(N, size=cb)
                 rng.random(out=u[g, :cb])

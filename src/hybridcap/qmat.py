@@ -41,9 +41,13 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def validate_hermitian(a, tol: float) -> bool:
-    """True iff A is finite and max|A - A†| <= tol."""
+    """True iff A is finite and max|A - A†| <= tol.
+
+    Compared as |A/2 - A†/2| <= tol/2: halving is exact for normal floats,
+    and the halved difference cannot overflow for finite entries.
+    """
     m = as_complex_matrix(a)
-    return bool(np.isfinite(m).all() and np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.isfinite(m).all() and np.max(np.abs(m / 2.0 - m.conj().T / 2.0)) <= tol / 2.0)
 
 
 def herm_eig(a) -> HermEigResult:
@@ -58,7 +62,7 @@ def herm_eig(a) -> HermEigResult:
     if not validate_hermitian(m, 1e-8):
         raise NonHermitianInput("matrix deviates from A† by more than 1e-8")
     try:
-        w, V = np.linalg.eigh((m + m.conj().T) / 2.0)
+        w, V = np.linalg.eigh(m / 2.0 + m.conj().T / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigh failed: {exc}") from exc
     return HermEigResult(w, V)
@@ -80,10 +84,11 @@ def check_psd_stack(stack, not_hermitian: str, negative: str, labels=("",)) -> N
         k = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))[0]
         name = not_hermitian.split(" is not Hermitian")[0].format(label=labels[k])
         raise ValueError(f"{name} has non-finite entries")
-    adj = stack.conj().transpose(0, 2, 1)
-    hermitian = np.abs(stack - adj).max(axis=(1, 2)) <= 1e-8
-    # halved before the sum, which cannot overflow for finite entries
-    w = np.linalg.eigvalsh(stack / 2.0 + adj / 2.0)[:, 0]
+    # halved first (exact for normal floats), so neither the Hermitian test
+    # nor the symmetrized sum can overflow for finite entries
+    half, adj = stack / 2.0, stack.conj().transpose(0, 2, 1) / 2.0
+    hermitian = np.abs(half - adj).max(axis=(1, 2)) <= 0.5e-8
+    w = np.linalg.eigvalsh(half + adj)[:, 0]
     # a NaN eigenvalue is a fault too
     fault = np.flatnonzero(~hermitian | ~(w >= PSD_FLOOR))
     if fault.size:

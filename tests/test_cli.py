@@ -402,6 +402,14 @@ class TestSubcommands:
         assert captured.out == ""
         assert captured.err == "invariant violation: rate R must be positive\n"
 
+    def test_code_sim_negative_seed_exit_2(self, full_file, capsys):
+        assert main(["code-sim", full_file, "--rate", "0.5", "--nlist", "4",
+                     "--trials", "4", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invariant violation: seed must be a non-negative integer, "
+                                "got -1\n")
+
     @pytest.mark.parametrize("nlist", ["2,,4", "x"])
     def test_code_sim_malformed_nlist_exit_2(self, full_file, capsys, nlist):
         assert main(["code-sim", full_file, "--rate", "0.5", "--nlist", nlist,

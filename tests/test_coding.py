@@ -18,7 +18,7 @@ from hybridcap import (
     ml_partition,
     rate_experiment,
 )
-from hybridcap.coding import _all_words
+from hybridcap.coding import _all_words, _codebook_states
 from hybridcap.errors import DimensionMismatch, EnumerationTooLarge
 from hybridcap.hybrid import outcome_probs
 
@@ -240,6 +240,48 @@ class TestAverageError:
             assert est in (0.0, 1.0)
             assert half == 0.0
 
+    @pytest.mark.parametrize("n", [3, 70])
+    def test_monte_carlo_matches_per_word_decode(self, n):
+        # n = 3 keys words by their base-3 index; 3^70 does not fit in int64,
+        # so there every word is its own key
+        rng = np.random.default_rng(n)
+        M = three_outcome_povm()
+        states = (ket(2, 0), ket(2, 1), random_density(rng, 2))
+        book = Codebook(tuple(tuple(states[k] for k in rng.integers(3, size=n))
+                              for _ in range(3)))
+        trials, seed = 600, 11
+        draw = np.random.default_rng(seed)
+        j = draw.integers(book.N, size=trials)
+        u = draw.random((trials, n))
+        sampled = []
+        for k in range(trials):
+            word = []
+            for t, s in enumerate(book.codewords[j[k]]):
+                cdf = np.cumsum(np.maximum(outcome_probs(s.matrix, M), 0.0))
+                word.append(M.labels[min(int(np.count_nonzero(cdf < u[k, t])), M.size - 1)])
+            sampled.append(tuple(word))
+        # most sampled words get a message (some the right one), the rest erase
+        part = DecoderPartition({w: int(rng.integers(0, 4)) for w in sorted(set(sampled))
+                                 if rng.random() < 0.8})
+        errors = sum(part.decode(w) != jk + 1 for w, jk in zip(sampled, j))
+        assert 0 < errors < trials
+        est, _ = average_error(book, part, M, mode="monte_carlo", trials=trials, seed=seed)
+        assert est == errors / trials
+
+    def test_monte_carlo_decodes_each_distinct_word_once(self):
+        calls = []
+
+        class CountingPartition(DecoderPartition):
+            def decode(self, word):
+                calls.append(tuple(word))
+                return super().decode(word)
+
+        book = binary_book(3)
+        M = bsc_povm(0.75)
+        part = CountingPartition(ml_partition(book, M).assignment)
+        average_error(book, part, M, mode="monte_carlo", trials=1000, seed=2)
+        assert len(calls) == len(set(calls)) <= 2**3
+
     def test_relabeling_invariance(self):
         M = bsc_povm(0.75)
         book = binary_book(2)
@@ -281,6 +323,37 @@ class TestRateExperiment:
             [0.2, 0.5, 0.3], pair + (random_density(np.random.default_rng(8), 2),)))
         args = (M, ens, R, n_list, trials, seed)
         assert rate_experiment(*args) == per_book_rate_experiment(*args)
+
+    # 2^32 - 1 and 2^32 straddle SeedSequence's 32-bit word split, 2^64 + 3 and
+    # 2^100 + 7 run its extra mixing past the 4-word pool, as does n = 2^32 + 1
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7,
+                                      np.int64(5), np.uint64(2**63), np.uint32(9)])
+    def test_codebook_states_match_default_rng(self, seed):
+        gen = np.random.default_rng(0)
+        for n in (1, 2, 8, 20, 2**32 + 1):
+            states = _codebook_states(seed, n, 32)
+            for b, state in enumerate(states):
+                ref = np.random.default_rng([seed, n, b])
+                assert state == ref.bit_generator.state
+                gen.bit_generator.state = state
+                assert gen.random() == ref.random()
+                assert gen.integers(1000, size=3).tolist() == ref.integers(1000, size=3).tolist()
+
+    @pytest.mark.parametrize("seed, exc, msg", [
+        (-1, ValueError, "seed must be a non-negative integer, got -1"),
+        (1.5, TypeError, "integer"),
+    ])
+    def test_bad_seed_rejected(self, seed, exc, msg):
+        ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
+        with pytest.raises(exc, match=msg):
+            rate_experiment(z_povm(), ens, 0.5, [4], trials=10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2**63)])
+    def test_numpy_integer_seed(self, seed):
+        ens = Ensemble([0.3, 0.7], (ket(2, 0), ket(2, 1)))
+        args = (bsc_povm(0.8), ens, 0.6, [2, 5])
+        assert rate_experiment(*args, trials=40, seed=seed) == \
+            per_book_rate_experiment(*args, trials=40, seed=int(seed))
 
     @pytest.mark.parametrize("R", [0.0, -1.0, float("nan")])
     def test_nonpositive_or_nan_rate_rejected(self, R):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridcap import herm_eig, matrix_sqrt_psd, validate_hermitian
+from hybridcap import EnergyConstraint, herm_eig, matrix_sqrt_psd, validate_hermitian
 from hybridcap.errors import NegativeEigenvalue, NoConvergence, NonHermitianInput
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -22,6 +22,19 @@ class TestValidateHermitian:
 
     def test_pauli_y(self):
         assert validate_hermitian(PAULI_Y, 1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_entries_do_not_overflow(self):
+        # A - A† is 2e308 off the diagonal; A/2 - A†/2 is not, and the
+        # decision is the same.  Entries near 1.7e308 in both parts overflow
+        # the halved |.| to inf, which still compares as not Hermitian.
+        assert not validate_hermitian([[1, 1e308], [-1e308, 1]], 1e-8)
+        assert not validate_hermitian([[1, 1.7e308 * (1 + 1j)], [-1.7e308 * (1 - 1j), 1]], 1e-8)
+        assert validate_hermitian([[1.7e308, 1e308], [1e308, -1.7e308]], 1e-8)
+        assert validate_hermitian([[0, 0.5e-8], [-0.5e-8, 0]], 1e-8)
+        assert not validate_hermitian([[0, 0.5e-8], [-0.6e-8, 0]], 1e-8)
+        with pytest.raises(NonHermitianInput):
+            EnergyConstraint([[1, 1e308], [-1e308, 1]], 1)
 
 
 class TestHermEig:
@@ -72,6 +85,13 @@ class TestHermEig:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitianInput):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_entries_do_not_overflow(self):
+        with pytest.raises(NonHermitianInput):
+            herm_eig([[1, 1e308], [-1e308, 1]])
+        # A + A† would overflow; A/2 + A†/2 does not
+        np.testing.assert_array_equal(herm_eig(np.diag([1.5e308, 1.0])).eigenvalues, [1.0, 1.5e308])
 
     def test_lapack_failure_is_no_convergence(self, monkeypatch):
         def failing_eigh(a):
