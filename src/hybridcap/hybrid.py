@@ -286,8 +286,7 @@ def entropy_of_spectrum(w: np.ndarray) -> float:
 
 def shannon_entropy(p: OutcomeDistribution) -> float:
     """Discrete Shannon entropy in bits."""
-    val = float(-np.sum(_xlog2x(p.probabilities)))
-    return val if val > 0.0 else 0.0
+    return entropy_of_spectrum(p.probabilities)
 
 
 def _rel_entropy_psd(a: np.ndarray, b: np.ndarray) -> float:

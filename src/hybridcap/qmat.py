@@ -98,13 +98,6 @@ def check_psd_stack(stack, not_hermitian: str, negative: str, labels=("",)) -> N
         raise NegativeEigenvalue(negative.format(label=labels[k], w=w[k]))
 
 
-def clamp_psd_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """Apply the library-wide PSD policy to an eigenvalue vector."""
-    if np.min(w) < PSD_FLOOR:
-        raise NegativeEigenvalue(f"eigenvalue {np.min(w):.3e} below {PSD_FLOOR}")
-    return np.where(w < 0.0, 0.0, w)
-
-
 def matrix_sqrt_psd(a) -> np.ndarray:
     """Hermitian PSD square root B with B·B ≈ A.
 
@@ -112,7 +105,9 @@ def matrix_sqrt_psd(a) -> np.ndarray:
     NegativeEigenvalue.
     """
     res = herm_eig(a)
-    w = clamp_psd_eigenvalues(res.eigenvalues)
-    V = res.eigenvectors
+    w, V = res.eigenvalues, res.eigenvectors
+    if w[0] < PSD_FLOOR:
+        raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below {PSD_FLOOR}")
+    w = np.where(w < 0.0, 0.0, w)
     B = (V * np.sqrt(w)) @ V.conj().T
     return (B + B.conj().T) / 2.0

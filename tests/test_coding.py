@@ -18,7 +18,7 @@ from hybridcap import (
     ml_partition,
     rate_experiment,
 )
-from hybridcap.coding import _all_words, _codebook_states
+from hybridcap.coding import _all_words
 from hybridcap.errors import DimensionMismatch, EnumerationTooLarge
 from hybridcap.hybrid import outcome_probs
 
@@ -31,7 +31,8 @@ def three_outcome_povm():
 
 def per_book_rate_experiment(M, ensemble, R, n_list, trials, seed):
     """rate_experiment as one loop body per codebook, with its codewords drawn
-    by Generator.choice: the reference the stacked version must equal."""
+    by Generator.choice and one generator per block length that the codebooks
+    draw from in turn: the reference the stacked version must equal."""
     member_rows = np.stack([outcome_probs(s.matrix, M) for s in ensemble.states])
     member_rows[member_rows < 0.0] = 0.0
     member_rows /= member_rows.sum(axis=1, keepdims=True)
@@ -43,8 +44,8 @@ def per_book_rate_experiment(M, ensemble, R, n_list, trials, seed):
         books = min(32, trials)
         per_book, extra = divmod(trials, books)
         failures = 0
+        rng = np.random.default_rng([seed, n])
         for b in range(books):
-            rng = np.random.default_rng([seed, n, b])
             idx = rng.choice(len(ensemble.states), size=(N, n), p=ensemble.weights)
             P = member_rows[idx]
             j = rng.integers(N, size=per_book + (b < extra))
@@ -324,36 +325,29 @@ class TestRateExperiment:
         args = (M, ens, R, n_list, trials, seed)
         assert rate_experiment(*args) == per_book_rate_experiment(*args)
 
-    # 2^32 - 1 and 2^32 straddle SeedSequence's 32-bit word split, 2^64 + 3 and
-    # 2^100 + 7 run its extra mixing past the 4-word pool, as does n = 2^32 + 1
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7,
-                                      np.int64(5), np.uint64(2**63), np.uint32(9)])
-    def test_codebook_states_match_default_rng(self, seed):
-        gen = np.random.default_rng(0)
-        for n in (1, 2, 8, 20, 2**32 + 1):
-            states = _codebook_states(seed, n, 32)
-            for b, state in enumerate(states):
-                ref = np.random.default_rng([seed, n, b])
-                assert state == ref.bit_generator.state
-                gen.bit_generator.state = state
-                assert gen.random() == ref.random()
-                assert gen.integers(1000, size=3).tolist() == ref.integers(1000, size=3).tolist()
-
     @pytest.mark.parametrize("seed, exc, msg", [
         (-1, ValueError, "seed must be a non-negative integer, got -1"),
         (1.5, TypeError, "integer"),
     ])
     def test_bad_seed_rejected(self, seed, exc, msg):
+        # Monte Carlo average_error shares rate_experiment's check
         ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
         with pytest.raises(exc, match=msg):
             rate_experiment(z_povm(), ens, 0.5, [4], trials=10, seed=seed)
+        book = binary_book(2)
+        with pytest.raises(exc, match=msg):
+            average_error(book, ml_partition(book, z_povm()), z_povm(),
+                          mode="monte_carlo", trials=10, seed=seed)
 
     @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(2**63)])
     def test_numpy_integer_seed(self, seed):
         ens = Ensemble([0.3, 0.7], (ket(2, 0), ket(2, 1)))
         args = (bsc_povm(0.8), ens, 0.6, [2, 5])
-        assert rate_experiment(*args, trials=40, seed=seed) == \
-            per_book_rate_experiment(*args, trials=40, seed=int(seed))
+        res = rate_experiment(*args, trials=np.int64(40), seed=seed)
+        assert res == per_book_rate_experiment(*args, trials=40, seed=int(seed))
+        # NumPy integer inputs give plain Python numbers
+        assert all(type(e[k]) is int for e in res.entries for k in ("n", "N", "trials"))
+        assert all(type(e[k]) is float for e in res.entries for k in ("error", "half_width"))
 
     @pytest.mark.parametrize("R", [0.0, -1.0, float("nan")])
     def test_nonpositive_or_nan_rate_rejected(self, R):
@@ -409,16 +403,31 @@ class TestRateExperiment:
         res = rate_experiment(z_povm(), ens, 0.5, [2, 4, 6], trials=100, seed=0)
         assert [e["trials"] for e in res.entries] == [100, 100, 100]
 
-    def test_zero_trials_rejected(self):
+    @pytest.mark.parametrize("trials, exc, msg", [
+        (0, ValueError, "trials must be at least 1, got 0"),
+        (-3, ValueError, "trials must be at least 1, got -3"),
+        (2.5, TypeError, "integer"),
+    ])
+    def test_zero_trials_rejected(self, trials, exc, msg):
+        # Monte Carlo average_error shares rate_experiment's check
         ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
-        with pytest.raises(ValueError, match="trials"):
-            rate_experiment(z_povm(), ens, 0.5, [4], trials=0, seed=0)
+        with pytest.raises(exc, match=msg):
+            rate_experiment(z_povm(), ens, 0.5, [4], trials=trials, seed=0)
+        book = binary_book(2)
+        with pytest.raises(exc, match=msg):
+            average_error(book, ml_partition(book, z_povm()), z_povm(),
+                          mode="monte_carlo", trials=trials, seed=0)
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_nonpositive_block_length_rejected(self, n):
         ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
         with pytest.raises(ValueError, match="block lengths must be >= 1"):
             rate_experiment(z_povm(), ens, 0.5, [2, n], trials=10, seed=0)
+
+    def test_non_integer_block_length_rejected(self):
+        ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
+        with pytest.raises(TypeError, match="interpreted as an integer"):
+            rate_experiment(z_povm(), ens, 0.5, [2, 2.5], trials=10, seed=0)
 
     def test_codebook_size_guard(self):
         # N = 2^30 codewords at n = 30, R = 1; the guard allows N up to 2^20
@@ -434,7 +443,7 @@ class TestRateExperiment:
         assert a == b
 
     def test_entries_independent_of_block_length_order(self):
-        # each codebook's stream is keyed by (seed, n, b), not by position
+        # each block length draws from its own default_rng([seed, n]), not by position
         ens = Ensemble([0.3, 0.7], (ket(2, 0), ket(2, 1)))
         M = bsc_povm(0.8)
         fwd = rate_experiment(M, ens, 0.6, [2, 5, 7], trials=150, seed=4)
