@@ -10,8 +10,9 @@ lowers I (minorize–maximize), and each member moves to the best feasible
 vector for its G_x (``_top_feasible``).  G_x is also the gradient of
 D(P_x‖p̄), so members of weight 0 climb D, or jump to an eigenvector of a
 POVM element where that is higher in D.  ``_ba_fixed_point`` then solves
-the prior to a bracket max D(P_x‖p̄) − I of 1e-12 bits, reviving members
-whose D exceeds I.  A restart converges once a round gains less than
+the prior by projected Newton steps on the face of live members to a
+bracket max D(P_x‖p̄) − I of 1e-12 bits, reviving members whose D exceeds
+I.  A restart converges once a round gains less than
 ``value_tolerance``.  Start draws over the energy bound are blended toward
 the ground eigenvector g of F: the energy of (1−t)ψ + t·g is a quadratic
 in t, and the least feasible blend is its root.
@@ -33,7 +34,9 @@ before its tolerance is met (converged=False).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -62,6 +65,16 @@ class OptimizerConfig:
     value_tolerance: float = 1e-7
 
     def __post_init__(self):
+        for name in ("seed", "restarts", "max_iterations"):
+            v = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(v))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {v!r}") from None
+        if isinstance(self.value_tolerance, bool) or not isinstance(self.value_tolerance, Real):
+            raise TypeError(f"value_tolerance must be a real number, got {self.value_tolerance!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.restarts < 1 or self.max_iterations < 1 or not 0 < self.value_tolerance < math.inf:
             raise ValueError("restarts, max_iterations, value_tolerance must be positive,"
                              " value_tolerance finite")
@@ -184,17 +197,34 @@ def _ba_fixed_point(W: np.ndarray, P: np.ndarray, steps: int = 300) -> np.ndarra
 
     With D = D(P_x‖p̄) in bits and I = w·D, the optimum lies in [I, max D],
     so a row stops once max D − I <= 1e-12, or after ``steps`` iterations.
-    An iteration moves weight t_b from a member b to a = argmax D (which may
-    have weight 0), then takes one Blahut–Arimoto step w ← w·2^{D − max D}/Σ.
-    t_x = min(w_x, (D_a − D_x)·ln 2 / Σ_y (P_ay − P_xy)²/p̄_y) over p̄_y > 1e-12
-    is the Newton step of I along e_a − e_x, and b the x whose step gains
-    most by that model (near the optimum argmin D is a tie within rounding,
-    and a step from a row far from P_a gains less than I resolves).  The
-    move is kept only if I does not fall.  A stopped row leaves the stack,
-    and each row gets the bits of a one-row solve.
+    An iteration is one projected Newton step on the face of members with
+    w > 1e-15 plus a = argmax D (Bertsekas 1982), then one Blahut–Arimoto
+    step w ← w·2^{D − max D}/Σ.  I is concave with Hessian
+    H_xz = −Σ_y P_xy P_zy / p̄_y (nats, over p̄_y > 1e-12), so the step δ
+    solves the KKT system of −H + 1e-12·I on the face, bordered by Σδ = 0,
+    with right-hand side D·ln 2; members off the face are pinned by identity
+    rows.  If a has weight <= 1e-15 and a negative δ_a, the step would stop
+    at once, and Blahut–Arimoto cannot revive a weight of 0; so a then
+    leaves the face and the system is solved again.  δ is cut to the
+    boundary of the simplex, and the first of its 1, ½, ¼ and ⅛ that does
+    not lower I is taken.  A stopped row leaves the stack, and each row gets
+    the bits of a one-row solve.
     """
     out = np.empty_like(W)
     rows, w = np.arange(len(W)), W
+    n = W.shape[-1]
+    cuts = np.array([1.0, 0.5, 0.25, 0.125])
+
+    def newton(curv, grad, face):
+        """δ of each row from its face's bordered KKT system, one batched solve."""
+        K = np.zeros((len(face), n + 1, n + 1))
+        K[:, :n, :n] = np.where(face[:, :, None] & face[:, None, :], curv, 0.0)
+        K[:, range(n), range(n)] += np.where(face, 1e-12, 1.0)
+        K[:, :n, n] = K[:, n, :n] = face
+        rhs = np.zeros((len(face), n + 1, 1))
+        rhs[:, :n, 0] = np.where(face, grad, 0.0)
+        return np.where(face, np.linalg.solve(K, rhs)[:, :n, 0], 0.0)
+
     for _ in range(steps):
         pbar = (w[:, None, :] @ P)[:, 0, :]
         D = hybrid._divergences_to(P, pbar)
@@ -205,21 +235,26 @@ def _ba_fixed_point(W: np.ndarray, P: np.ndarray, steps: int = 300) -> np.ndarra
             if not go.any():
                 return out
             rows, w, P, pbar, D, I = rows[go], w[go], P[go], pbar[go], D[go], I[go]
-        i, a = np.arange(len(w)), D.argmax(axis=-1)
-        diff = P[i, a][:, None, :] - P
-        live = (pbar > 1e-12)[:, None, :]
-        curv = np.where(live, diff * diff / np.maximum(pbar, 1e-300)[:, None, :], 0.0).sum(axis=-1)
-        slope = np.maximum(D[i, a][:, None] - D, 0.0)
-        T = np.minimum(w, np.divide(slope * _LN2, curv, out=np.full_like(curv, np.inf),
-                                    where=curv > 0.0))
-        b = (T * (slope - 0.5 * T * curv / _LN2)).argmax(axis=-1)
-        t, wb = T[i, b], w[i, b]
-        v = w.copy()
-        v[i, a] += t
-        v[i, b] = np.where(t < wb, wb - t, 0.0)
-        Dv = hybrid._divergences(v, P)
-        up = (hybrid._dots(v, Dv) >= I)[:, None]
-        w, D = np.where(up, v, w), np.where(up, Dv, D)
+        i = np.arange(len(w))
+        face = w > 1e-15
+        face[i, D.argmax(axis=-1)] = True
+        inv = np.divide(1.0, pbar, out=np.zeros_like(pbar), where=pbar > 1e-12)
+        curv, grad = (P * inv[:, None, :]) @ P.transpose(0, 2, 1), D * _LN2
+        delta = newton(curv, grad, face)
+        # only a can have weight <= 1e-15 on the face, so one more solve does
+        drop = face & (w <= 1e-15) & (delta < 0.0)
+        r = np.flatnonzero(drop.any(axis=-1))
+        if r.size:
+            face &= ~drop
+            delta[r] = newton(curv[r], grad[r], face[r])
+        ratio = np.divide(w, -delta, out=np.full_like(w, np.inf), where=delta < 0.0)
+        alpha = np.minimum(ratio.min(axis=-1), 1.0)
+        v = np.maximum(w[:, None, :] + (alpha[:, None] * cuts)[..., None] * delta[:, None, :], 0.0)
+        Dv = hybrid._divergences(v, P[:, None])
+        up = hybrid._dots(v, Dv) >= I[:, None]
+        k = up.argmax(axis=-1)
+        up = up[i, k][:, None]
+        w, D = np.where(up, v[i, k], w), np.where(up, Dv[i, k], D)
         w = w * np.exp2(D - D.max(axis=-1, keepdims=True))
         w /= w.sum(axis=-1, keepdims=True)
     out[rows] = w

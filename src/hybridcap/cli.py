@@ -206,7 +206,10 @@ def _resolve_seed(args, spec: ChannelSpec | None) -> int:
         return _option(spec.options, "seed", 0, True)
     env = os.environ.get("HYBRIDCAP_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"HYBRIDCAP_SEED must be an integer, got {env!r}") from None
     return 0
 
 

@@ -163,6 +163,8 @@ class TestBaFixedPoint:
     @staticmethod
     def stack(rng, kind):
         R, n, m = (int(k) for k in rng.integers((1, 2, 2), (5, 6, 6)))
+        if kind == "stalled entrant":
+            n, m = 4, 4
         P = rng.dirichlet(np.full(m, rng.choice([0.3, 1.0, 3.0])), size=(R, n))
         W = rng.dirichlet(np.ones(n), size=R)
         if kind == "near-duplicate rows":
@@ -176,10 +178,22 @@ class TestBaFixedPoint:
             P[0, :, 0] = 0.0
             P[0, 0] = np.eye(m)[0]
             W[0, 0] = 1e-200
+        elif kind == "stalled entrant":
+            # in row 0, member 0 has weight 0 and the largest D, but its
+            # component of the first Newton step on the face is negative; kept
+            # on the face it would stop every step, and Blahut–Arimoto cannot
+            # revive it (the row would end 0.14 bits low)
+            P[0] = [[0.597, 0.088, 0.027, 0.288], [0.307, 0.251, 0.327, 0.115],
+                    [0.394, 0.119, 0.196, 0.292], [0.314, 0.225, 0.31, 0.151]]
+            W[0] = [0.0, 0.002, 0.554, 0.444]
+        elif kind == "duplicated live member":
+            # members 0 and 1 are equal and both live, so the Hessian of I is singular
+            P[:, 1] = P[:, 0]
         return W / W.sum(axis=-1, keepdims=True), P / P.sum(axis=-1, keepdims=True)
 
     @pytest.mark.parametrize("kind", ["random", "near-duplicate rows", "zeros",
-                                      "lone outcome of a 1e-200 member"])
+                                      "lone outcome of a 1e-200 member", "stalled entrant",
+                                      "duplicated live member"])
     def test_matches_reference_update(self, kind):
         rng = np.random.default_rng(17)
         for _ in range(15):
@@ -201,6 +215,27 @@ class TestBaFixedPoint:
         W = np.array([[0.5, 1e-9, 0.5 - 1e-9]])
         assert _brackets(_plain_ba(W[0], P[0], 20)[None], P)[0] > 1e-6
         assert _brackets(_ba_fixed_point(W, P, steps=20), P)[0] <= 1e-12
+
+    def test_row_with_six_live_members_certifies_within_30_steps(self):
+        # a random row (10 members, 6 outcomes, entries rounded to 1e-4) that
+        # a single pairwise transfer per step left at the 300-step cap with a
+        # bracket of 7.3e-10 bits; six members are live at the optimum
+        W = np.array([[0.1475, 0.2789, 0.0985, 0.0041, 0.0372, 0.1348, 0.0893, 0.0354,
+                       0.032, 0.1422]])
+        P = np.array([[[0.5751, 0.2098, 0.0702, 0.0217, 0.106, 0.0172],
+                       [0.3619, 0.3748, 0.0848, 0.0395, 0.0363, 0.1026],
+                       [0.1369, 0.2458, 0.4839, 0.0005, 0.0032, 0.1298],
+                       [0.0027, 0.0567, 0.1608, 0.0239, 0.702, 0.0539],
+                       [0.1178, 0.3512, 0.0268, 0.0632, 0.0947, 0.3462],
+                       [0.0187, 0.0684, 0.0717, 0.5138, 0.1181, 0.2093],
+                       [0.2509, 0.1624, 0.1955, 0.0268, 0.2089, 0.1555],
+                       [0.133, 0.6457, 0.0135, 0.0061, 0.0201, 0.1817],
+                       [0.0413, 0.079, 0.4553, 0.3184, 0.0301, 0.0758],
+                       [0.0447, 0.0246, 0.2177, 0.1031, 0.3118, 0.2981]]])
+        W, P = W / W.sum(), P / P.sum(axis=-1, keepdims=True)
+        fixed = _ba_fixed_point(W, P, steps=30)
+        assert _brackets(fixed, P)[0] <= 1e-12
+        assert np.count_nonzero(fixed > 1e-9) == 6
 
 
 class TestClassicalCapacity:
@@ -721,3 +756,23 @@ class TestConfigValidation:
     def test_non_finite_rejected(self, x):
         with pytest.raises(ValueError, match="finite"):
             OptimizerConfig(value_tolerance=x)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -1$"):
+            OptimizerConfig(seed=-1)
+
+    @pytest.mark.parametrize("name", ["seed", "restarts", "max_iterations"])
+    def test_non_integer_counts_rejected(self, name):
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got 2.5$"):
+            OptimizerConfig(**{name: 2.5})
+
+    @pytest.mark.parametrize("x", ["1e-7", True, None])
+    def test_non_number_tolerance_rejected(self, x):
+        with pytest.raises(TypeError, match="^value_tolerance must be a real number"):
+            OptimizerConfig(value_tolerance=x)
+
+    def test_integer_like_counts_become_ints(self):
+        cfg = OptimizerConfig(seed=np.int64(3), restarts=np.uint8(2), max_iterations=np.int32(5),
+                              value_tolerance=np.float32(1e-3))
+        assert (cfg.seed, cfg.restarts, cfg.max_iterations) == (3, 2, 5)
+        assert all(type(v) is int for v in (cfg.seed, cfg.restarts, cfg.max_iterations))

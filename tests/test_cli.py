@@ -410,6 +410,25 @@ class TestSubcommands:
         assert captured.err == ("invariant violation: seed must be a non-negative integer, "
                                 "got -1\n")
 
+    @pytest.mark.parametrize("command", ["capacity", "ea"])
+    def test_negative_seed_exit_2(self, full_file, capsys, command):
+        assert main([command, full_file, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invariant violation: seed must be a non-negative integer, "
+                                "got -1\n")
+
+    @pytest.mark.parametrize("env", ["abc", "-1"])
+    def test_bad_env_seed_exit_2(self, full_file, capsys, monkeypatch, env):
+        monkeypatch.setenv("HYBRIDCAP_SEED", env)
+        assert main(["capacity", full_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == {
+            "abc": "invariant violation: HYBRIDCAP_SEED must be an integer, got 'abc'\n",
+            "-1": "invariant violation: seed must be a non-negative integer, got -1\n",
+        }[env]
+
     @pytest.mark.parametrize("nlist", ["2,,4", "x"])
     def test_code_sim_malformed_nlist_exit_2(self, full_file, capsys, nlist):
         assert main(["code-sim", full_file, "--rate", "0.5", "--nlist", nlist,
