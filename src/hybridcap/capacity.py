@@ -146,6 +146,8 @@ def gibbs_state(F, E: float) -> GibbsSolution:
     Otherwise β is found by bracketing + bisection, using the strict
     monotone decrease of the mean energy in β.
     """
+    if math.isnan(E):  # NaN fails every branch test and would reach the boundary
+        raise ValueError("energy E must be a number, got nan")
     return _gibbs(qmat.herm_eig(F), E)
 
 
@@ -495,9 +497,7 @@ def classical_capacity(
 
 def is_pure_povm(M: FinitePOVM, tol: float = 1e-10) -> bool:
     """True iff every element has rank 1 (all non-leading eigenvalues < tol)."""
-    e = M.elements
-    w = np.linalg.eigvalsh((e + e.conj().transpose(0, 2, 1)) / 2.0)
-    return not np.any(w[:, :-1] >= tol)
+    return not np.any(M._spectrum[:, :-1] >= tol)
 
 
 def _exp_state(H: np.ndarray):

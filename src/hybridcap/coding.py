@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge
-from .hybrid import Ensemble, FinitePOVM, OutcomeDistribution, outcome_probs
+from .hybrid import Ensemble, FinitePOVM, _check_dims, measure, outcome_probs
 
 # exact enumeration guard: n * log2(m) <= 20, i.e. at most ~1e6 outcome words
 _ENUM_BITS = 20
@@ -75,11 +75,12 @@ def codeword_distribution(codeword, M: FinitePOVM):
     The product over slots is the outcome law of the n-fold product
     observable; it is never materialized as a full m^n vector here.
     """
-    return [OutcomeDistribution(outcome_probs(s.matrix, M)) for s in codeword]
+    return [measure(s, M) for s in codeword]
 
 
 def _slot_probs(book: Codebook, M: FinitePOVM) -> np.ndarray:
     """(N, n, m) conditional outcome probabilities of every codeword slot."""
+    _check_dims(book.codewords[0][0].dim, M.dim)
     # per slot: one batched einsum rounds differently and would flip exact ML ties
     P = np.array([[outcome_probs(s.matrix, M) for s in w] for w in book.codewords])
     P[P < 0.0] = 0.0
@@ -182,11 +183,13 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
 
     For each block length n, draws N = ceil(2^{nR}) codewords i.i.d. per
     slot from the ensemble, decodes every sampled outcome word by maximum
-    likelihood, and estimates the average error.
+    likelihood, and estimates the average error.  An entry with N = 1 (R
+    near 0) is exact: error 0, and it runs no trials.
     """
     if not R > 0.0:  # NaN fails every comparison
         raise ValueError("rate R must be positive")
     trials, seed = _check_trials_seed(trials, seed)
+    _check_dims(ensemble.dim, M.dim)
     n_list = tuple(map(operator.index, n_list))
     if min(n_list, default=1) < 1:
         raise ValueError(f"block lengths must be >= 1, got {min(n_list)}")

@@ -3,11 +3,15 @@
 All entropic quantities are in bits (log base 2).  The 0·log 0 := 0
 convention is applied with a 1e-12 threshold on probabilities and
 eigenvalues throughout.
+
+Hybrid-state entropies are spectral functionals of the block-diagonal
+operator, read from one LAPACK call on the blocks zero-padded into a stack.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +30,15 @@ _LN2 = math.log(2.0)
 def _xlog2x(v: np.ndarray) -> np.ndarray:
     mask = v > _EIG_EPS
     return np.where(mask, v * np.log2(np.where(mask, v, 1.0)), 0.0)
+
+
+def _pad(blocks) -> np.ndarray:
+    """(k, d, d) stack of k square blocks, each zero-padded to the largest d."""
+    d = max((len(b) for b in blocks), default=1)
+    stack = np.zeros((len(blocks), d, d), dtype=np.complex128)
+    for k, b in enumerate(blocks):
+        stack[k, : len(b), : len(b)] = b
+    return stack
 
 
 @dataclass(frozen=True)
@@ -70,7 +83,7 @@ class FinitePOVM:
         for k, label in enumerate(labels):
             if label in labels[:k]:
                 raise ValueError(f"POVM label {label!r} repeats")
-        qmat.check_psd_stack(
+        spectrum = qmat.check_psd_stack(
             elems,
             "POVM element {label} is not Hermitian",
             "POVM element {label} eigenvalue {w:.3e} below -1e-9",
@@ -81,6 +94,7 @@ class FinitePOVM:
             raise ValueError(f"povm completeness deviation {dev:.1e} > 1e-8")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @classmethod
     def from_pairs(cls, pairs) -> "FinitePOVM":
@@ -130,7 +144,7 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float).copy()
-        if np.min(p) < -1e-12:
+        if not np.min(p) >= -1e-12:  # NaN fails every comparison
             raise ValueError(f"probability {np.min(p):.3e} below -1e-12")
         p[p < 0.0] = 0.0
         s = float(p.sum())
@@ -152,18 +166,13 @@ class HybridState:
         blocks = tuple(qmat.as_complex_matrix(b) for b in self.blocks)
         if len(labels) != len(blocks):
             raise ValueError("label count does not match block count")
-        if blocks:
-            # blocks may differ in dimension: zero padding adds zero eigenvalues
-            d = max(len(b) for b in blocks)
-            stack = np.zeros((len(blocks), d, d), dtype=np.complex128)
-            for k, b in enumerate(blocks):
-                stack[k, : len(b), : len(b)] = b
-            qmat.check_psd_stack(
-                stack,
-                "block {label} is not Hermitian",
-                "block {label} eigenvalue below -1e-9",
-                labels,
-            )
+        # blocks may differ in dimension: zero padding adds zero eigenvalues
+        qmat.check_psd_stack(
+            _pad(blocks),
+            "block {label} is not Hermitian",
+            "block {label} eigenvalue below -1e-9",
+            labels,
+        )
         total = sum((float(np.real(np.trace(b))) for b in blocks), 0.0)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"total trace {total} deviates from 1")
@@ -186,7 +195,7 @@ class Ensemble:
         states = tuple(self.states)
         if len(states) == 0 or len(states) != len(w):
             raise ValueError("ensemble needs matching, non-empty weights and states")
-        if np.min(w) <= 0.0:
+        if not np.min(w) > 0.0:  # NaN fails every comparison
             raise ValueError("ensemble weights must be strictly positive")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise ValueError("ensemble weights must sum to 1 within 1e-9")
@@ -251,6 +260,9 @@ def posterior(S: DensityOperator, M: FinitePOVM, omega: int) -> DensityOperator:
     convention-free; every downstream quantity depends on the spectrum alone.
     """
     _check_dims(S.dim, M.dim)
+    omega = operator.index(omega)
+    if not 0 <= omega < M.size:
+        raise ValueError(f"outcome index {omega} out of range")
     elem = M.elements[omega]
     p = float(np.real(np.trace(S.matrix @ elem)))
     if p <= _EIG_EPS:
@@ -278,10 +290,24 @@ def vn_entropy(S: DensityOperator) -> float:
 
 
 def entropy_of_spectrum(w: np.ndarray) -> float:
-    w = np.asarray(w, dtype=float)
+    return float(_spectrum_entropies(np.asarray(w, dtype=float)))
+
+
+def _spectrum_entropies(w: np.ndarray) -> np.ndarray:
+    """−Σ λ log₂ λ over the last axis of a stack of spectra."""
     # entropy is nonnegative; rounding residue can leave a tiny negative sum
-    val = float(-np.sum(_xlog2x(w)))
-    return val if val > 0.0 else 0.0
+    return np.maximum(-_xlog2x(w).sum(axis=-1), 0.0)
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """A/2 + A†/2 of each matrix of a stack, as herm_eig symmetrizes."""
+    return a / 2.0 + a.conj().swapaxes(-1, -2) / 2.0
+
+
+def _block_entropies(stacks: np.ndarray) -> np.ndarray:
+    """−Σ_ω Tr S(ω) log₂ S(ω) of each (k, d, d) block stack of (..., k, d, d)."""
+    w = np.linalg.eigvalsh(_hermitian_part(stacks))
+    return _spectrum_entropies(w.reshape(*w.shape[:-2], -1))
 
 
 def shannon_entropy(p: OutcomeDistribution) -> float:
@@ -290,56 +316,45 @@ def shannon_entropy(p: OutcomeDistribution) -> float:
 
 
 def _rel_entropy_psd(a: np.ndarray, b: np.ndarray) -> float:
-    """Tr A (log₂ A - log₂ B) for positive operators, +inf on support violation."""
-    ea = qmat.herm_eig(a)
-    eb = qmat.herm_eig(b)
-    wa = np.where(ea.eigenvalues < 0.0, 0.0, ea.eigenvalues)
-    wb = np.where(eb.eigenvalues < 0.0, 0.0, eb.eigenvalues)
-    term1 = float(np.sum(_xlog2x(wa)))
-    # mass of A carried by each eigenvector of B
-    overlap = np.abs(eb.eigenvectors.conj().T @ ea.eigenvectors) ** 2  # (j, i)
-    mass = overlap @ wa  # Σ_i λ_i |<v_j|u_i>|², per j
-    bad = (wb <= _EIG_EPS) & (mass > 1e-9)
-    if np.any(bad):
+    """Σ_k Tr A_k (log₂ A_k − log₂ B_k) of (k, d, d) PSD stacks, +inf off support."""
+    (wa, wb), (U, V) = np.linalg.eigh(_hermitian_part(np.stack([a, b])))
+    wa = np.maximum(wa, 0.0)
+    # mass of A_k carried by each eigenvector v_j of B_k: Σ_i λ_i |<v_j|u_i>|²
+    mass = ((np.abs(V.conj().swapaxes(-1, -2) @ U) ** 2) @ wa[..., None])[..., 0]
+    if np.any((wb <= _EIG_EPS) & (mass > 1e-9)):
         return math.inf
-    ok = wb > _EIG_EPS
-    term2 = float(np.sum(mass[ok] * np.log2(wb[ok])))
-    return term1 - term2
+    logb = np.log2(np.where(wb > _EIG_EPS, wb, 1.0))  # 0 off the support
+    return float(_xlog2x(wa).sum() - (mass * logb).sum())
 
 
 def relative_entropy_q(S1: DensityOperator, S2: DensityOperator) -> float:
     """Quantum relative entropy Tr S1(log₂ S1 - log₂ S2); +inf off support."""
     _check_dims(S1.dim, S2.dim)
-    val = _rel_entropy_psd(S1.matrix, S2.matrix)
-    return val if math.isinf(val) else max(val, 0.0)
+    return max(_rel_entropy_psd(S1.matrix[None], S2.matrix[None]), 0.0)
 
 
 def hybrid_entropy(S: HybridState) -> float:
-    """Entropy of a cq-state: H_c(p) + Σ_ω p(ω) H_q(Ŝ(ω)) in bits."""
-    w = S.weights()
-    hc = float(-np.sum(_xlog2x(w)))
-    hq = 0.0
-    for p, block in zip(w, S.blocks):
-        if p > _EIG_EPS:
-            hq += p * entropy_of_spectrum(
-                np.maximum(qmat.herm_eig(block / p).eigenvalues, 0.0)
-            )
-    return hc + hq
+    """Entropy −Σ_ω Tr S(ω) log₂ S(ω) of a cq-state in bits, from one block spectrum."""
+    return float(_block_entropies(_pad(S.blocks)))
+
+
+def _block_stacks(states) -> np.ndarray:
+    """(n, k, d, d) padded block stacks of hybrid states that share their
+    labels and the size of each same-label block."""
+    for s in states[1:]:
+        if s.labels != states[0].labels:
+            raise LabelMismatch("hybrid states have different outcome labels")
+        if [b.shape for b in s.blocks] != [b.shape for b in states[0].blocks]:
+            raise DimensionMismatch("hybrid states have same-label blocks of different sizes")
+    return np.stack([_pad(s.blocks) for s in states])
 
 
 def hybrid_relative_entropy(S1: HybridState, S2: HybridState) -> float:
-    """Blockwise relative entropy of cq-states sharing an outcome label set."""
-    if S1.labels != S2.labels:
-        raise LabelMismatch("hybrid states have different outcome labels")
-    total = 0.0
-    for b1, b2 in zip(S1.blocks, S2.blocks):
-        if float(np.real(np.trace(b1))) <= _EIG_EPS:
-            continue
-        val = _rel_entropy_psd(b1, b2)
-        if math.isinf(val):
-            return math.inf
-        total += val
-    return max(total, 0.0)
+    """Σ_ω Tr S1(ω)(log₂ S1(ω) − log₂ S2(ω)) of cq-states sharing labels and
+    block sizes, over blocks of S1 with trace > 1e-12; +inf off support."""
+    A, B = _block_stacks((S1, S2))
+    keep = S1.weights() > _EIG_EPS
+    return max(_rel_entropy_psd(A[keep], B[keep]), 0.0)
 
 
 def mutual_information(pi: Ensemble, M: FinitePOVM) -> float:
@@ -383,21 +398,16 @@ def mutual_information_from_rows(weights: np.ndarray, P: np.ndarray) -> float:
 
 
 def chi_cq(weights, states) -> float:
-    """Holevo-type quantity for hybrid states: H(Σ π_x S_x) - Σ π_x H(S_x)."""
+    """Holevo-type H(Σ π_x S_x) − Σ π_x H(S_x) of cq-states sharing labels and block sizes."""
     w = np.asarray(weights, dtype=float)
     states = list(states)
-    labels = states[0].labels
-    for s in states[1:]:
-        if s.labels != labels:
-            raise LabelMismatch("hybrid states have different outcome labels")
-    avg_blocks = []
-    for k in range(len(labels)):
-        avg_blocks.append(sum(wx * s.blocks[k] for wx, s in zip(w, states)))
-    avg = HybridState(labels, tuple(avg_blocks))
-    val = hybrid_entropy(avg) - float(
-        np.sum(w * np.array([hybrid_entropy(s) for s in states]))
-    )
-    return max(val, 0.0)
+    if not states or w.shape != (len(states),):
+        raise ValueError("chi_cq needs one weight per state and at least one state")
+    if not (w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-9):  # NaN fails both
+        raise ValueError("chi_cq weights must be >= 0 and sum to 1 within 1e-9")
+    stacks = _block_stacks(states)
+    ents = _block_entropies(np.concatenate([np.tensordot(w, stacks, axes=1)[None], stacks]))
+    return max(float(ents[0] - w @ ents[1:]), 0.0)
 
 
 def _posterior_grams(smatrix: np.ndarray, M: FinitePOVM):
@@ -411,11 +421,6 @@ def _posterior_grams(smatrix: np.ndarray, M: FinitePOVM):
     K, _, KH = M._kernel_cache()
     scale = (probs > _EIG_EPS) / np.maximum(probs, _EIG_EPS)
     return probs, (KH @ smatrix @ K) * scale[:, None, None]
-
-
-def _spectrum_entropies(w: np.ndarray) -> np.ndarray:
-    """entropy_of_spectrum of each row of a stack of spectra."""
-    return np.maximum(-_xlog2x(w).sum(axis=-1), 0.0)
 
 
 def entropy_reduction(S: DensityOperator, M: FinitePOVM) -> float:

@@ -8,6 +8,7 @@ eigenvalues k + 1/2.  All values in bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ class CurveRow:
 
 
 def _require(E: float, minimum: float = _GROUND):
-    if E < minimum:
+    if not E >= minimum:  # NaN fails every comparison
         raise DomainError(f"E = {E} below the admissible minimum {minimum}")
 
 
@@ -54,7 +55,7 @@ def c_heterodyne(E: float) -> float:
 
 def homodyne_entropy_bound(E: float) -> float:
     """Maximal differential entropy (1/2)log₂(4πeE) of the position statistics."""
-    if E <= 0.0:
+    if not E > 0.0:  # NaN fails every comparison
         raise DomainError(f"E = {E} must be positive")
     return 0.5 * math.log2(4.0 * math.pi * math.e * E)
 
@@ -81,6 +82,7 @@ def truncated_oscillator_check(E: float, n_max: int):
     error decays geometrically with n_max (thermal tail).
     """
     _require(E)
+    n_max = operator.index(n_max)
     if n_max < 2:
         raise DomainError("n_max must be >= 2")
     F = np.diag(np.arange(n_max) + 0.5).astype(np.complex128)

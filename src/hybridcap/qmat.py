@@ -4,8 +4,9 @@ Spectral computations use NumPy's LAPACK routines: :func:`herm_eig` wraps
 ``numpy.linalg.eigh`` for single matrices with the library's Hermitian
 check and error types, and :func:`check_psd_stack` validates a whole stack
 of matrices with one batched ``eigvalsh``.  The entropy paths in
-:mod:`hybridcap.hybrid` call ``eigvalsh`` on stacks of posterior matrices
-directly.  Two calls on bit-identical input give bit-identical output.
+:mod:`hybridcap.hybrid` call ``eigvalsh`` and ``eigh`` directly on stacks of
+posterior matrices and of zero-padded hybrid-state blocks.  Two calls on
+bit-identical input give bit-identical output.
 
 Complex entries are numpy ``complex128``, i.e. explicit (re, im) pairs of
 IEEE-754 doubles.
@@ -68,8 +69,8 @@ def herm_eig(a) -> HermEigResult:
     return HermEigResult(w, V)
 
 
-def check_psd_stack(stack, not_hermitian: str, negative: str, labels=("",)) -> None:
-    """Validate a (k, d, d) stack of matrices expected Hermitian PSD.
+def check_psd_stack(stack, not_hermitian: str, negative: str, labels=("",)) -> np.ndarray:
+    """Validate a (k, d, d) stack expected Hermitian PSD; return its (k, d) spectra, ascending.
 
     The first matrix with a NaN or infinite entry raises ValueError, naming
     the matrix as ``not_hermitian`` does before " is not Hermitian".  Then
@@ -88,14 +89,15 @@ def check_psd_stack(stack, not_hermitian: str, negative: str, labels=("",)) -> N
     # nor the symmetrized sum can overflow for finite entries
     half, adj = stack / 2.0, stack.conj().transpose(0, 2, 1) / 2.0
     hermitian = np.abs(half - adj).max(axis=(1, 2)) <= 0.5e-8
-    w = np.linalg.eigvalsh(half + adj)[:, 0]
+    w = np.linalg.eigvalsh(half + adj)
     # a NaN eigenvalue is a fault too
-    fault = np.flatnonzero(~hermitian | ~(w >= PSD_FLOOR))
+    fault = np.flatnonzero(~hermitian | ~(w[:, 0] >= PSD_FLOOR))
     if fault.size:
         k = fault[0]
         if not hermitian[k]:
             raise NonHermitianInput(not_hermitian.format(label=labels[k]))
-        raise NegativeEigenvalue(negative.format(label=labels[k], w=w[k]))
+        raise NegativeEigenvalue(negative.format(label=labels[k], w=w[k, 0]))
+    return w
 
 
 def matrix_sqrt_psd(a) -> np.ndarray:

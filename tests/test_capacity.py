@@ -101,6 +101,11 @@ class TestGibbsState:
         assert 0.0 < sol.beta < math.inf
         assert len(calls) == 1
 
+    def test_nan_energy_rejected(self):
+        # NaN failed every branch test and returned the ground state with beta = inf
+        with pytest.raises(ValueError, match="energy E must be a number, got nan"):
+            gibbs_state(np.diag([0.0, 1.0]), math.nan)
+
     def test_energy_a_hair_above_ground_raises_bracket_failure(self):
         # E - f0 = 1e-26 > 0 skips the boundary branch but needs beta beyond 2^60
         with pytest.raises(BracketFailure, match="2\\^60"):
@@ -236,6 +241,21 @@ class TestBaFixedPoint:
         fixed = _ba_fixed_point(W, P, steps=30)
         assert _brackets(fixed, P)[0] <= 1e-12
         assert np.count_nonzero(fixed > 1e-9) == 6
+
+    def test_rows_left_at_the_step_cap(self):
+        # one iteration certifies no row of this stack, so every row leaves
+        # at the cap: on the simplex, I not below its start, one-row bits
+        rng = np.random.default_rng(29)
+        P = rng.dirichlet(np.ones(4), size=(3, 5))
+        W = rng.dirichlet(np.ones(5), size=3)
+        capped = _ba_fixed_point(W, P, steps=1)
+        assert np.all(_brackets(capped, P) > 1e-12)
+        assert np.all(capped >= 0.0)
+        np.testing.assert_allclose(capped.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+        start = hybrid._mutual_informations(W, P)
+        assert np.all(hybrid._mutual_informations(capped, P) >= start)
+        for r in range(len(W)):
+            assert np.array_equal(capped[r], _ba_fixed_point(W[r:r + 1], P[r:r + 1], steps=1)[0])
 
 
 class TestClassicalCapacity:
@@ -618,6 +638,18 @@ class TestIsPurePovm:
         ])
         assert is_pure_povm(M)
         assert not is_pure_povm(M, tol=1e-11)
+
+    def test_reads_the_validation_spectrum(self, monkeypatch):
+        # the spectrum check_psd_stack computed at construction, bit for bit
+        # the ascending eigvalsh of (e + e†)/2; is_pure_povm computes none
+        rng = np.random.default_rng(31)
+        povms = [random_povm(rng, 3, 4), random_rank1_povm(rng, 3, 5), z_povm()]
+        for M in povms:
+            e = M.elements
+            ref = np.linalg.eigvalsh((e + e.conj().transpose(0, 2, 1)) / 2.0)
+            assert np.array_equal(M._spectrum, ref)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        assert [is_pure_povm(M) for M in povms] == [False, True, True]
 
 
 class TestMultistartResults:

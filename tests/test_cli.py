@@ -370,6 +370,14 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "rate R = 0.500000 bits/use" in out and "n =   2" in out
 
+    def test_code_sim_single_codeword_line(self, full_file, capsys):
+        # 2^{nR} rounds to 1 at R = 1e-17: the exact entry, no trials run
+        assert main(["code-sim", full_file, "--rate", "1e-17", "--nlist", "4",
+                     "--trials", "10"]) == 0
+        assert capsys.readouterr().out == (
+            "rate R = 0.000000 bits/use\n"
+            "n =   4  N =      1  error = 0.000000 ± 0.000000\n")
+
     def test_code_sim_csv_reports_exact_trials(self, full_file, tmp_path):
         path = tmp_path / "rates.csv"
         assert main([

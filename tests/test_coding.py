@@ -9,6 +9,7 @@ from conftest import bsc_povm, ket, random_density, random_povm, z_povm
 from hybridcap import (
     Codebook,
     DecoderPartition,
+    DensityOperator,
     Ensemble,
     FinitePOVM,
     RateExperimentResult,
@@ -86,6 +87,18 @@ class TestCodewordDistribution:
         dists = codeword_distribution([ket(2, 0), ket(2, 1)], bsc_povm(0.75))
         p01 = dists[0].probabilities[0] * dists[1].probabilities[1]
         assert abs(p01 - 0.5625) <= 1e-12
+
+    @pytest.mark.parametrize("call", [
+        lambda book, M: codeword_distribution(book.codewords[0], M),
+        ml_partition,
+        lambda book, M: average_error(book, DecoderPartition({}), M),
+        lambda book, M: average_error(book, DecoderPartition({}), M, mode="monte_carlo"),
+    ])
+    def test_codeword_dimension_must_match_povm(self, call):
+        # qutrit codewords on a qubit POVM used to raise NumPy's broadcast text
+        book = Codebook(((DensityOperator(np.eye(3) / 3),) * 2,))
+        with pytest.raises(DimensionMismatch, match="dimension mismatch: 3 vs 2"):
+            call(book, z_povm())
 
 
 class TestWordEnumeration:
@@ -380,6 +393,14 @@ class TestRateExperiment:
         res = rate_experiment(z_povm(), ens, 1.5, [8], trials=2000, seed=0)
         assert res.entries[0]["error"] >= 0.2
 
+    def test_single_codeword_entry_is_exact(self):
+        # 2^{nR} rounds to 1 at R = 1e-17: one codeword is always decoded
+        # right, so the entry is exact and runs no trials
+        ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
+        res = rate_experiment(bsc_povm(0.8), ens, 1e-17, [1, 4], trials=10, seed=0)
+        assert res.entries == tuple({"n": n, "N": 1, "error": 0.0, "half_width": 0.0,
+                                     "trials": 0} for n in (1, 4))
+
     def test_tiny_rate_still_two_messages(self):
         # N = ceil(2^{nR}) never drops below 2 for R > 0; the noiseless
         # channel then decodes a distinct pair perfectly
@@ -434,6 +455,12 @@ class TestRateExperiment:
         ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
         with pytest.raises(ValueError, match="2\\^30 codewords"):
             rate_experiment(z_povm(), ens, 1.0, [4, 30], trials=10, seed=0)
+
+    def test_state_dimension_must_match_povm(self):
+        # used to raise NumPy's broadcast text
+        ens = Ensemble([1.0], (DensityOperator(np.eye(3) / 3),))
+        with pytest.raises(DimensionMismatch, match="dimension mismatch: 3 vs 2"):
+            rate_experiment(z_povm(), ens, 0.5, [2], trials=4, seed=0)
 
     def test_same_seed_identical(self):
         ens = Ensemble([0.3, 0.7], (ket(2, 0), ket(2, 1)))

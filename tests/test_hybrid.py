@@ -114,6 +114,16 @@ class TestPosterior:
         with pytest.raises(ZeroProbabilityOutcome):
             posterior(ket(2, 0), z_povm(), 1)
 
+    @pytest.mark.parametrize("omega, exc, msg", [
+        (-1, ValueError, "outcome index -1 out of range"),
+        (5, ValueError, "outcome index 5 out of range"),
+        (0.5, TypeError, "integer"),
+    ])
+    def test_outcome_index_checked(self, omega, exc, msg):
+        # -1 used to give the last outcome's posterior, 5 and 0.5 NumPy's IndexError
+        with pytest.raises(exc, match=msg):
+            posterior(DensityOperator(np.eye(2) / 2), z_povm(), omega)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_invariance_vs_sqrt_route(self, seed):
         # spectrum of the posterior equals that of sqrt(S) M_w sqrt(S) / p
@@ -214,6 +224,14 @@ class TestHybridEntropy:
             direct -= float(np.sum(w * np.log2(w)))
         assert abs(hybrid_entropy(hs) - direct) <= 1e-9
 
+    def test_mixed_block_sizes_and_zero_block(self):
+        # padding adds zero eigenvalues only: p = (1/2, 1/4, 1/4), each block pure
+        hs = HybridState(("a", "b", "c"), (np.array([[0.5]]), np.diag([0.0, 0.25, 0.0]),
+                                           np.diag([0.25, 0.0])))
+        assert abs(hybrid_entropy(hs) - 1.5) <= 1e-12
+        hz = HybridState(("a", "b"), (np.eye(2) / 2, np.zeros((3, 3))))
+        assert abs(hybrid_entropy(hz) - 1.0) <= 1e-12
+
 
 class TestHybridRelativeEntropy:
     def test_self_zero(self):
@@ -253,6 +271,19 @@ class TestHybridRelativeEntropy:
         h1 = HybridState(("a",), (np.eye(2, dtype=complex) / 2,))
         h2 = HybridState(("b",), (np.eye(2, dtype=complex) / 2,))
         with pytest.raises(LabelMismatch):
+            hybrid_relative_entropy(h1, h2)
+
+    def test_mixed_block_sizes(self):
+        # blocks of one state may differ in size: 0.5·D(|0><0| ‖ I/2) + 0 = 0.5 bit
+        h1 = HybridState(("a", "b"), (np.diag([0.5, 0.0]), np.array([[0.5]])))
+        h2 = HybridState(("a", "b"), (np.eye(2) / 4, np.array([[0.5]])))
+        assert abs(hybrid_relative_entropy(h1, h2) - 0.5) <= 1e-12
+
+    def test_same_label_block_sizes_must_agree(self):
+        # used to raise NumPy's matmul text
+        h1 = HybridState(("a",), (np.eye(1),))
+        h2 = HybridState(("a",), (np.eye(2) / 2,))
+        with pytest.raises(DimensionMismatch, match="same-label blocks of different sizes"):
             hybrid_relative_entropy(h1, h2)
 
 
@@ -319,6 +350,33 @@ class TestChiCq:
         assert abs(
             chi_cq(ens.weights, hybrids) - mutual_information(ens, M)
         ) <= 1e-9
+
+    def test_mixed_block_sizes(self):
+        # outcome a is a 1x1 block, b a 2x2 block: states differ on b only
+        h1 = HybridState(("a", "b"), (np.array([[0.5]]), np.diag([0.5, 0.0])))
+        h2 = HybridState(("a", "b"), (np.array([[0.5]]), np.diag([0.0, 0.5])))
+        assert abs(chi_cq([0.5, 0.5], [h1, h2]) - 0.5) <= 1e-12
+
+    # each case used to return a number or raise NumPy's text
+    @pytest.mark.parametrize("weights, which, msg", [
+        ([1.0], "ab", "one weight per state"),  # b was dropped from the average
+        ([0.5, 0.5, 0.0], "ab", "one weight per state"),
+        ([], "", "at least one state"),
+        ([1.5, -0.5], "aa", "weights must be >= 0"),
+        ([0.5, 0.4], "ab", "sum to 1 within 1e-9"),
+    ])
+    def test_weights_checked(self, weights, which, msg):
+        states = {"a": HybridState(("x", "y"), (np.diag([0.5, 0.0]), np.diag([0.0, 0.5]))),
+                  "b": HybridState(("x", "y"), (np.eye(2) / 4, np.diag([0.5, 0.0])))}
+        with pytest.raises(ValueError, match=msg):
+            chi_cq(weights, [states[k] for k in which])
+
+    def test_same_label_block_sizes_must_agree(self):
+        # a 1x1 block used to broadcast over a 2x2 one: "total trace 1.5"
+        h1 = HybridState(("a",), (np.eye(1),))
+        h2 = HybridState(("a",), (np.eye(2) / 2,))
+        with pytest.raises(DimensionMismatch, match="same-label blocks of different sizes"):
+            chi_cq([0.5, 0.5], [h1, h2])
 
 
 class TestEntropyReduction:
@@ -446,6 +504,9 @@ class TestValidation:
          "probability -5.000e-01 below -1e-12"),
         (lambda: OutcomeDistribution([0.5, 0.25]), ValueError,
          "probabilities sum to 0.75, off by more than 1e-9"),
+        # NaN fails both comparisons: it gave probabilities [nan, nan], Shannon entropy 0
+        pytest.param(lambda: OutcomeDistribution([math.nan, 1.0]), ValueError,
+                     "probability nan below -1e-12", id="nan probability"),
         (lambda: HybridState(("x",), ()), ValueError,
          "label count does not match block count"),
         (lambda: Ensemble([], ()), ValueError,
@@ -454,6 +515,8 @@ class TestValidation:
          "ensemble weights must be strictly positive"),
         (lambda: Ensemble([0.5, 0.25], (ket(2, 0), ket(2, 1))), ValueError,
          "ensemble weights must sum to 1 within 1e-9"),
+        pytest.param(lambda: Ensemble([math.nan, 1.0], (ket(2, 0), ket(2, 1))), ValueError,
+                     "ensemble weights must be strictly positive", id="nan ensemble weight"),
         (lambda: Ensemble([0.5, 0.5], (ket(2, 0), ket(3, 1))), DimensionMismatch,
          "ensemble members have mixed dimensions"),
         (lambda: chi_cq([0.5, 0.5], [HybridState(("a",), (np.eye(1),)),

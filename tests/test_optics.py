@@ -50,6 +50,13 @@ class TestClosedForms:
         with pytest.raises(DomainError, match="must be positive"):
             homodyne_entropy_bound(0.0)
 
+    @pytest.mark.parametrize("func", [cea_oscillator, homodyne_entropy_bound,
+                                      lambda E: truncated_oscillator_check(E, 10)])
+    def test_nan_energy_rejected(self, func):
+        # NaN used to pass the guards and come back as nan
+        with pytest.raises(DomainError, match="E = nan"):
+            func(math.nan)
+
     def test_strictly_increasing(self):
         grid = np.linspace(0.5 + 1e-6, 20.0, 200)
         for func in (cea_oscillator, c_homodyne, c_heterodyne,
@@ -118,6 +125,11 @@ class TestTruncatedOscillator:
     def test_single_level_rejected(self):
         with pytest.raises(DomainError, match="n_max must be >= 2"):
             truncated_oscillator_check(1.0, 1)
+
+    def test_non_integer_level_count_rejected(self):
+        # 2.5 used to run 3 levels without a word
+        with pytest.raises(TypeError, match="integer"):
+            truncated_oscillator_check(1.0, 2.5)
 
     def test_refinement_monotone(self):
         gaps = [abs(truncated_oscillator_check(1.0, n)[2]) for n in (3, 10, 30, 60)]
