@@ -203,25 +203,29 @@ def _ba_fixed_point(W: np.ndarray, P: np.ndarray, steps: int = 300) -> np.ndarra
     w > 1e-15 plus a = argmax D (Bertsekas 1982), then one Blahut–Arimoto
     step w ← w·2^{D − max D}/Σ.  I is concave with Hessian
     H_xz = −Σ_y P_xy P_zy / p̄_y (nats, over p̄_y > 1e-12), so the step δ
-    solves the KKT system of −H + 1e-12·I on the face, bordered by Σδ = 0,
-    with right-hand side D·ln 2; members off the face are pinned by identity
-    rows.  If a has weight <= 1e-15 and a negative δ_a, the step would stop
-    at once, and Blahut–Arimoto cannot revive a weight of 0; so a then
-    leaves the face and the system is solved again.  δ is cut to the
-    boundary of the simplex, and the first of its 1, ½, ¼ and ⅛ that does
-    not lower I is taken.  A stopped row leaves the stack, and each row gets
-    the bits of a one-row solve.
+    solves the KKT system of −H + diag(max(1e-12, −1e-14·H_xx)) on the face,
+    bordered by Σδ = 0, with right-hand side D·ln 2; members off the face
+    are pinned by identity rows.  If a has weight <= 1e-15 and a negative
+    δ_a, the step would stop at once, and Blahut–Arimoto cannot revive a
+    weight of 0; so a then leaves the face and the system is solved again.
+    δ is cut to the boundary of the simplex, and the first of its 1, ½, ¼
+    and ⅛ that does not lower I is taken.  A stopped row leaves the stack,
+    and each row gets the bits of a one-row solve.
     """
     out = np.empty_like(W)
     rows, w = np.arange(len(W)), W
     n = W.shape[-1]
+    on_diag = np.arange(n)
     cuts = np.array([1.0, 0.5, 0.25, 0.125])
 
     def newton(curv, grad, face):
         """δ of each row from its face's bordered KKT system, one batched solve."""
         K = np.zeros((len(face), n + 1, n + 1))
         K[:, :n, :n] = np.where(face[:, :, None] & face[:, None, :], curv, 0.0)
-        K[:, range(n), range(n)] += np.where(face, 1e-12, 1.0)
+        # 1e-14·|H_xx| is about 45 ulp(H_xx): a ridge below one ulp left the
+        # block of duplicated members on an outcome of p̄ ≈ 1e-9 exactly singular
+        K[:, on_diag, on_diag] += np.where(
+            face, np.maximum(1e-12, 1e-14 * np.diagonal(curv, axis1=1, axis2=2)), 1.0)
         K[:, :n, n] = K[:, n, :n] = face
         rhs = np.zeros((len(face), n + 1, 1))
         rhs[:, :n, 0] = np.where(face, grad, 0.0)

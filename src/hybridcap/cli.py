@@ -5,8 +5,11 @@ two nested row-major real arrays "re" and "im".  Exit codes: 0 ok,
 2 invariant violation, 3 parse error, 4 infeasible energy constraint,
 5 optimizer non-convergence (the result is still printed, flagged).
 
-Seed priority: --seed flag > options.seed in the file > HYBRIDCAP_SEED
-environment variable > 0.
+Each subcommand takes only the flags it uses: --csv PATH on measure,
+capacity, ea, optics-curves and code-sim; --seed on capacity, ea and
+code-sim, with priority --seed flag > options.seed in the file >
+HYBRIDCAP_SEED environment variable > 0; --restarts and --tol on capacity
+and ea.  On any other subcommand these flags are a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -77,15 +81,15 @@ def _matrix_to_json(m: np.ndarray) -> dict:
     return {"re": np.real(m).tolist(), "im": np.imag(m).tolist()}
 
 
+@dataclass
 class ChannelSpec:
     """Parsed spec file: POVM plus optional state, ensemble, constraint, options."""
 
-    def __init__(self, povm, state=None, constraint=None, ensemble=None, options=None):
-        self.povm = povm
-        self.state = state
-        self.constraint = constraint
-        self.ensemble = ensemble
-        self.options = options or {}
+    povm: hybrid.FinitePOVM
+    state: hybrid.DensityOperator | None = None
+    constraint: hybrid.EnergyConstraint | None = None
+    ensemble: hybrid.Ensemble | None = None
+    options: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         out = {
@@ -156,7 +160,7 @@ def parse_spec(path: str) -> ChannelSpec:
         if not isinstance(c, dict) or "F" not in c or "E" not in c:
             _fail_parse(path, 'constraint: expected an object with "F" and "E"')
         fmat = _matrix_from_json(c["F"], dim, f"{path}: constraint.F")
-        if isinstance(c["E"], bool) or not isinstance(c["E"], (int, float)):
+        if not _numbers((c["E"],)):
             raise SpecInvariantError(f"constraint: E must be a number, got {c['E']!r}")
         constraint = _construct(
             "constraint: ", lambda: hybrid.EnergyConstraint(fmat, float(c["E"])))
@@ -187,8 +191,7 @@ def parse_spec(path: str) -> ChannelSpec:
 def _option(opts: dict, key: str, default, integral: bool):
     """options[key] as an int if integral, else a float: a JSON number, not a bool."""
     v = opts.get(key, default)
-    if (isinstance(v, bool) or not isinstance(v, (int, float))
-            or integral and isinstance(v, float) and not v.is_integer()):
+    if not _numbers((v,)) or integral and isinstance(v, float) and not v.is_integer():
         what = "an integer" if integral else "a number"
         raise ValueError(f'option "{key}" must be {what}, got {v!r}')
     if integral:
@@ -199,10 +202,10 @@ def _option(opts: dict, key: str, default, integral: bool):
         raise ValueError(f'option "{key}" is too large for a float') from None
 
 
-def _resolve_seed(args, spec: ChannelSpec | None) -> int:
-    if getattr(args, "seed", None) is not None:
+def _resolve_seed(args, spec: ChannelSpec) -> int:
+    if args.seed is not None:
         return args.seed
-    if spec is not None and "seed" in spec.options:
+    if "seed" in spec.options:
         return _option(spec.options, "seed", 0, True)
     env = os.environ.get("HYBRIDCAP_SEED")
     if env is not None:
@@ -234,8 +237,7 @@ def _write_csv(path: str, header: str, rows) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args) -> int:
-    spec = parse_spec(args.spec)
+def cmd_validate(args, spec: ChannelSpec) -> int:
     if args.dump_normalized:
         with open(args.dump_normalized, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(spec.to_json(), fh, indent=2)
@@ -251,17 +253,8 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _require(spec: ChannelSpec, attr: str, what: str):
-    v = getattr(spec, attr)
-    if v is None:
-        raise SpecInvariantError(f'this subcommand needs a "{what}" section in the spec file')
-    return v
-
-
-def cmd_measure(args) -> int:
-    spec = parse_spec(args.spec)
-    state = _require(spec, "state", "state")
-    dist = hybrid.measure(state, spec.povm)
+def cmd_measure(args, spec: ChannelSpec) -> int:
+    dist = hybrid.measure(spec.state, spec.povm)
     rows = list(zip(spec.povm.labels, dist.probabilities))
     for lab, p in rows:
         print(f"p({lab}) = {p:.6f}")
@@ -271,12 +264,8 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def cmd_posterior(args) -> int:
-    spec = parse_spec(args.spec)
-    state = _require(spec, "state", "state")
-    if not 0 <= args.outcome < spec.povm.size:
-        raise SpecInvariantError(f"outcome index {args.outcome} out of range")
-    post = hybrid.posterior(state, spec.povm, args.outcome)
+def cmd_posterior(args, spec: ChannelSpec) -> int:
+    post = hybrid.posterior(spec.state, spec.povm, args.outcome)
     print(f"outcome {spec.povm.labels[args.outcome]}: "
           f"posterior entropy {hybrid.vn_entropy(post):.6f} bits")
     for row in post.matrix:
@@ -284,18 +273,14 @@ def cmd_posterior(args) -> int:
     return EXIT_OK
 
 
-def cmd_er(args) -> int:
-    spec = parse_spec(args.spec)
-    state = _require(spec, "state", "state")
-    val = hybrid.entropy_reduction(state, spec.povm)
+def cmd_er(args, spec: ChannelSpec) -> int:
+    val = hybrid.entropy_reduction(spec.state, spec.povm)
     print(f"ER = {val:.6f} bits")
     return EXIT_OK
 
 
-def cmd_mi(args) -> int:
-    spec = parse_spec(args.spec)
-    ens = _require(spec, "ensemble", "ensemble")
-    val = hybrid.mutual_information(ens, spec.povm)
+def cmd_mi(args, spec: ChannelSpec) -> int:
+    val = hybrid.mutual_information(spec.ensemble, spec.povm)
     print(f"I = {val:.6f} bits")
     return EXIT_OK
 
@@ -311,8 +296,7 @@ def _finish_capacity(args, result: cap.CapacityResult) -> int:
     return EXIT_OK
 
 
-def cmd_capacity(args) -> int:
-    spec = parse_spec(args.spec)
+def cmd_capacity(args, spec: ChannelSpec) -> int:
     cfg = _resolve_config(args, spec)
     result = cap.classical_capacity(spec.povm, spec.constraint, cfg)
     print(f"C = {result.value_bits:.6f} bits")
@@ -321,8 +305,7 @@ def cmd_capacity(args) -> int:
     return _finish_capacity(args, result)
 
 
-def cmd_ea(args) -> int:
-    spec = parse_spec(args.spec)
+def cmd_ea(args, spec: ChannelSpec) -> int:
     cfg = _resolve_config(args, spec)
     result = cap.ea_capacity(spec.povm, spec.constraint, cfg)
     print(f"C_ea = {result.value_bits:.6f} bits")
@@ -336,10 +319,8 @@ def cmd_ea(args) -> int:
     return _finish_capacity(args, result)
 
 
-def cmd_gibbs(args) -> int:
-    spec = parse_spec(args.spec)
-    constraint = _require(spec, "constraint", "constraint")
-    sol = cap.gibbs_state(constraint.F, constraint.E)
+def cmd_gibbs(args, spec: ChannelSpec) -> int:
+    sol = cap.gibbs_state(spec.constraint.F, spec.constraint.E)
     print(f"beta = {sol.beta:.6f}")
     print(f"energy = {sol.energy:.6f}")
     print(f"entropy = {sol.entropy_bits:.6f} bits")
@@ -357,16 +338,14 @@ def cmd_optics_curves(args) -> int:
     return EXIT_OK
 
 
-def cmd_code_sim(args) -> int:
-    spec = parse_spec(args.spec)
-    ens = _require(spec, "ensemble", "ensemble")
+def cmd_code_sim(args, spec: ChannelSpec) -> int:
     seed = _resolve_seed(args, spec)
     try:
         n_list = [int(x) for x in args.nlist.split(",")]
     except ValueError:
         raise ValueError(f"--nlist must be comma-separated integers, got {args.nlist!r}") from None
     result = coding.rate_experiment(
-        spec.povm, ens, args.rate, n_list, args.trials, seed
+        spec.povm, spec.ensemble, args.rate, n_list, args.trials, seed
     )
     print(f"rate R = {result.rate:.6f} bits/use")
     rows = []
@@ -380,6 +359,11 @@ def cmd_code_sim(args) -> int:
     return EXIT_OK
 
 
+# the optional flags of the subcommands on a spec file
+_FLAGS = {"--csv": {"help": "write machine-readable CSV to this path"},
+          "--seed": {"type": int}, "--restarts": {"type": int}, "--tol": {"type": float}}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridcap",
@@ -387,64 +371,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec_file=True, optimizer=False):
-        if spec_file:
-            p.add_argument("spec", help="channel spec JSON file")
-        p.add_argument("--csv", help="write machine-readable CSV to this path")
-        p.add_argument("--seed", type=int, default=None)
-        if optimizer:
-            p.add_argument("--restarts", type=int, default=None)
-            p.add_argument("--tol", type=float, default=None)
+    def on_spec(name, help, func, needs, *flags):
+        """Subcommand on a spec file; main() loads it and checks its `needs` section."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("spec", help="channel spec JSON file")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func, needs=needs)
+        return p
 
     p = sub.add_parser("validate", help="check a spec file's invariants")
     p.add_argument("spec")
     p.add_argument("--dump-normalized", metavar="OUT",
                    help="write the normalized spec JSON to OUT")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, needs="povm")
 
-    p = sub.add_parser("measure", help="outcome distribution of the state")
-    add_common(p)
-    p.set_defaults(func=cmd_measure)
-
-    p = sub.add_parser("posterior", help="posterior state for one outcome")
-    add_common(p)
+    on_spec("measure", "outcome distribution of the state", cmd_measure, "state", "--csv")
+    p = on_spec("posterior", "posterior state for one outcome", cmd_posterior, "state")
     p.add_argument("--outcome", type=int, required=True)
-    p.set_defaults(func=cmd_posterior)
-
-    p = sub.add_parser("er", help="entropy reduction of the state")
-    add_common(p)
-    p.set_defaults(func=cmd_er)
-
-    p = sub.add_parser("mi", help="mutual information of the ensemble")
-    add_common(p)
-    p.set_defaults(func=cmd_mi)
-
-    p = sub.add_parser("capacity", help="classical capacity")
-    add_common(p, optimizer=True)
-    p.set_defaults(func=cmd_capacity)
-
-    p = sub.add_parser("ea", help="entanglement-assisted capacity")
-    add_common(p, optimizer=True)
-    p.set_defaults(func=cmd_ea)
-
-    p = sub.add_parser("gibbs", help="max-entropy state at the constraint energy")
-    add_common(p)
-    p.set_defaults(func=cmd_gibbs)
+    on_spec("er", "entropy reduction of the state", cmd_er, "state")
+    on_spec("mi", "mutual information of the ensemble", cmd_mi, "ensemble")
+    optimizer = ("--csv", "--seed", "--restarts", "--tol")
+    on_spec("capacity", "classical capacity", cmd_capacity, "povm", *optimizer)
+    on_spec("ea", "entanglement-assisted capacity", cmd_ea, "povm", *optimizer)
+    on_spec("gibbs", "max-entropy state at the constraint energy", cmd_gibbs, "constraint")
 
     p = sub.add_parser("optics-curves", help="oscillator capacity curve table")
     p.add_argument("--emin", type=float, default=0.5)
     p.add_argument("--emax", type=float, default=5.0)
     p.add_argument("--steps", type=int, default=10)
     p.add_argument("--csv")
-    p.set_defaults(func=cmd_optics_curves)
+    p.set_defaults(func=cmd_optics_curves, needs=None)
 
-    p = sub.add_parser("code-sim", help="random-coding error-rate experiment")
-    add_common(p)
+    p = on_spec("code-sim", "random-coding error-rate experiment", cmd_code_sim, "ensemble",
+                "--csv", "--seed")
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--nlist", default="2,4,8",
                    help="comma-separated block lengths")
     p.add_argument("--trials", type=int, default=2000)
-    p.set_defaults(func=cmd_code_sim)
 
     return parser
 
@@ -458,7 +422,13 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.needs is None:
+            return args.func(args)
+        spec = parse_spec(args.spec)
+        if getattr(spec, args.needs) is None:
+            raise SpecInvariantError(
+                f'this subcommand needs a "{args.needs}" section in the spec file')
+        return args.func(args, spec)
     except SpecParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -28,8 +28,8 @@ class CurveRow:
 
 
 def _require(E: float, minimum: float = _GROUND):
-    if not E >= minimum:  # NaN fails every comparison
-        raise DomainError(f"E = {E} below the admissible minimum {minimum}")
+    if not minimum <= E < math.inf:  # NaN fails every comparison
+        raise DomainError(f"E = {E} outside the admissible range [{minimum}, inf)")
 
 
 def cea_oscillator(E: float) -> float:
@@ -55,8 +55,8 @@ def c_heterodyne(E: float) -> float:
 
 def homodyne_entropy_bound(E: float) -> float:
     """Maximal differential entropy (1/2)log₂(4πeE) of the position statistics."""
-    if not E > 0.0:  # NaN fails every comparison
-        raise DomainError(f"E = {E} must be positive")
+    if not 0.0 < E < math.inf:  # NaN fails every comparison
+        raise DomainError(f"E = {E} must be positive and finite")
     return 0.5 * math.log2(4.0 * math.pi * math.e * E)
 
 

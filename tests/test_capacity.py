@@ -315,6 +315,20 @@ class TestClassicalCapacity:
         res = classical_capacity(M, cfg=FAST)
         assert abs(res.value_bits - math.log2(d)) <= 1e-9
 
+    @pytest.mark.parametrize("d, s, seed", [
+        (4, 6, 1), (4, 8, 1), (5, 2, 0), (5, 3, 1), (5, 5, 1), (5, 8, 1), (6, 1, 1),
+        (6, 7, 0), (7, 0, 0), (7, 0, 1), (7, 1, 1), (7, 2, 0), (7, 3, 1), (7, 4, 0),
+        (7, 7, 1), (7, 8, 1), (7, 9, 0), (8, 0, 0), (8, 0, 1), (8, 1, 1), (8, 9, 0),
+    ])
+    def test_projective_measurement_with_a_starved_outcome(self, d, s, seed):
+        # duplicated members sit on an outcome of p̄ ≈ 4e-9, so H_xx ≈ 2.5e8:
+        # a fixed 1e-12 ridge is below its ulp and left the KKT matrix singular
+        M = random_rank1_povm(np.random.default_rng([48, d, s]), d, d)
+        res = classical_capacity(M, cfg=OptimizerConfig(seed=seed, restarts=4,
+                                                        max_iterations=60))
+        assert res.value_bits <= math.log2(d) + 1e-9
+        assert abs(mutual_information(res.argmax, M) - res.value_bits) <= 1e-9
+
     def test_trine_at_log3_minus_one(self):
         # the anti-trine ensemble makes the output uniform, and no pure state
         # has an outcome entropy below 1 bit, so C = log2 3 - 1

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import random_rank1_povm
 from hybridcap import CapacityResult, DensityOperator, Ensemble, cli
 from hybridcap.cli import main, parse_spec
 
@@ -246,6 +248,17 @@ class TestSubcommands:
         assert main(["capacity", z_file, "--restarts", "2"]) == 0
         assert "C = 1.000000 bits" in capsys.readouterr().out
 
+    def test_capacity_projective_with_a_starved_outcome(self, tmp_path, capsys):
+        # this run used to exit 2 with "invariant violation: Singular matrix"
+        M = random_rank1_povm(np.random.default_rng([48, 5, 2]), 5, 5)
+        spec = {"dim": 5, "povm": [{"label": lab, **mat(el)}
+                                   for lab, el in zip(M.labels, M.elements)]}
+        path = write_spec(tmp_path, spec)
+        assert main(["capacity", path, "--seed", "0", "--restarts", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith(f"C = {math.log2(5):.6f} bits\n")
+
     def test_capacity_nonconverged_exit_5(self, z_file, tmp_path, capsys, monkeypatch):
         # real runs converge even at --tol 1e-300, so the optimizer is stubbed
         state = DensityOperator(np.diag([1.0, 0.0]))
@@ -458,6 +471,35 @@ class TestSubcommands:
         assert code == 2
         assert "2^30 codewords" in capsys.readouterr().err
         assert peak < 1e6
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["posterior", "--outcome", "0", "--csv", "x.csv"], ["er", "--csv", "x.csv"],
+        ["mi", "--csv", "x.csv"], ["gibbs", "--csv", "x.csv"], ["measure", "--seed", "1"],
+        ["posterior", "--outcome", "0", "--seed", "1"], ["er", "--seed", "1"],
+        ["mi", "--seed", "1"], ["gibbs", "--seed", "1"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_unused_flag_is_a_usage_error(self, full_file, tmp_path, monkeypatch, capsys,
+                                          argv):
+        # each flag used to be accepted and ignored: exit 0 and no file written
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], full_file, *argv[1:]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command, needs", [
+        ("measure", "state"), ("posterior", "state"), ("er", "state"), ("mi", "ensemble"),
+        ("gibbs", "constraint"), ("code-sim", "ensemble"),
+    ])
+    def test_missing_section_exit_2(self, z_file, capsys, command, needs):
+        extra = {"posterior": ["--outcome", "9"], "code-sim": ["--rate", "0.5"]}
+        assert main([command, z_file, *extra.get(command, [])]) == 2
+        assert capsys.readouterr() == (
+            "", f'invariant violation: this subcommand needs a "{needs}" section '
+                'in the spec file\n')
 
 
 class TestOpticsCurves:

@@ -402,8 +402,9 @@ class TestRateExperiment:
                                      "trials": 0} for n in (1, 4))
 
     def test_tiny_rate_still_two_messages(self):
-        # N = ceil(2^{nR}) never drops below 2 for R > 0; the noiseless
-        # channel then decodes a distinct pair perfectly
+        # N = ceil(2^{nR}) = 2 at nR = 0.4 (it drops to 1 only where 2^{nR}
+        # rounds to 1.0, as at R = 1e-17); the noiseless channel decodes a
+        # distinct pair perfectly
         ens = Ensemble([0.5, 0.5], (ket(2, 0), ket(2, 1)))
         res = rate_experiment(z_povm(), ens, 0.1, [4], trials=128, seed=0)
         assert res.entries[0]["N"] == 2

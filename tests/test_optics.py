@@ -51,11 +51,23 @@ class TestClosedForms:
             homodyne_entropy_bound(0.0)
 
     @pytest.mark.parametrize("func", [cea_oscillator, homodyne_entropy_bound,
-                                      lambda E: truncated_oscillator_check(E, 10)])
+                                      lambda E: truncated_oscillator_check(E, 10),
+                                      c_homodyne, c_heterodyne])
     def test_nan_energy_rejected(self, func):
         # NaN used to pass the guards and come back as nan
         with pytest.raises(DomainError, match="E = nan"):
             func(math.nan)
+
+    @pytest.mark.parametrize("func", [cea_oscillator, c_homodyne, c_heterodyne,
+                                      homodyne_entropy_bound,
+                                      lambda E: truncated_oscillator_check(E, 10)],
+                             ids=["cea_oscillator", "c_homodyne", "c_heterodyne",
+                                  "homodyne_entropy_bound", "truncated_oscillator_check"])
+    def test_infinite_energy_rejected(self, func):
+        # +inf used to come back as nan (cea_oscillator, the truncated
+        # check's closed form and gap) or as inf (the other three)
+        with pytest.raises(DomainError, match="E = inf"):
+            func(math.inf)
 
     def test_strictly_increasing(self):
         grid = np.linspace(0.5 + 1e-6, 20.0, 200)
