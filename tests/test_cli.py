@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_rank1_povm
-from hybridcap import CapacityResult, DensityOperator, Ensemble, cli
+from conftest import random_density, random_povm, random_rank1_povm
+from hybridcap import (
+    CapacityResult, DensityOperator, EnergyConstraint, Ensemble, FinitePOVM, cli)
 from hybridcap.cli import main, parse_spec
 
 
@@ -54,9 +55,8 @@ def z_file(tmp_path):
     return write_spec(tmp_path, z_spec())
 
 
-@pytest.fixture
-def full_file(tmp_path):
-    spec = z_spec(
+def full_spec():
+    return z_spec(
         state=mat(np.diag([0.75, 0.25])),
         constraint={"F": mat(np.diag([0.0, 1.0])), "E": 0.5},
         ensemble={
@@ -64,7 +64,11 @@ def full_file(tmp_path):
             "states": [mat(np.diag([1.0, 0.0])), mat(np.diag([0.0, 1.0]))],
         },
     )
-    return write_spec(tmp_path, spec)
+
+
+@pytest.fixture
+def full_file(tmp_path):
+    return write_spec(tmp_path, full_spec())
 
 
 def run_cli(args):
@@ -211,6 +215,198 @@ class TestValidate:
         )
         for a, b in zip(orig.ensemble.states, normed.ensemble.states):
             np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-12)
+
+
+def edit(spec, *changes):
+    """spec with each (key path, value) change made; a dict value is merged into
+    the dict it replaces, so a POVM entry keeps its label."""
+    for path, value in changes:
+        *head, last = path
+        parent = spec
+        for key in head:
+            parent = parent[key]
+        old = parent[last] if isinstance(parent, list) or last in parent else None
+        if isinstance(old, dict) and isinstance(value, dict):
+            value = {**old, **value}
+        parent[last] = value
+    return spec
+
+
+def bad(kind):
+    """A matrix object with one fault of this kind; its trace is 1 where that matters."""
+    if kind == "non-number":
+        m = mat(np.eye(2) / 2)
+        m["re"][1][1] = "0.5"
+        return m
+    return mat({
+        "non-finite": [[math.nan, 0.0], [0.0, 1.0]],
+        "non-Hermitian": [[0.5, 1.0], [0.0, 0.5]],
+        "negative": np.diag([1.5, -0.5]),
+        "shape": np.eye(3) / 3,
+    }[kind])
+
+
+POVM1, STATE, F, MEMBER0, MEMBER1 = (
+    ("povm", 1), ("state",), ("constraint", "F"), ("ensemble", "states", 0),
+    ("ensemble", "states", 1))
+SHAPE = "expected 2x2 arrays, got (3, 3) and (3, 3)"
+NOT_NUMERIC = "re/im entries are not numeric"
+NEG = "eigenvalue -5.000e-01 below -1e-9"
+
+
+def case_id(value):
+    """povm.1, non-finite, exit2: a readable id for a key path, a fault kind or a want."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value[0], str):
+        return ".".join(map(str, value))
+    return f"exit{value[0]}"
+
+
+def invariant(msg):
+    return 2, f"invariant violation: {msg}\n"
+
+
+def parse(msg):
+    return 3, "parse error: {path}: " + msg + "\n"
+
+
+class TestErrorOrder:
+    """The first fault of a spec is the one reported: sections are checked in
+    the order POVM, state, constraint, ensemble, options, each parsed before
+    it is checked, and a parse fault comes after the checks of the sections
+    before it."""
+
+    def check(self, tmp_path, capsys, spec, want):
+        path = write_spec(tmp_path, spec)
+        code = main(["validate", path])
+        assert (code, capsys.readouterr().err) == (want[0], want[1].format(path=path))
+
+    @pytest.mark.parametrize("where, kind, want", [
+        (POVM1, "non-finite", invariant("POVM element 1 has non-finite entries")),
+        (POVM1, "non-Hermitian", invariant("POVM element 1 is not Hermitian")),
+        (POVM1, "negative", invariant(f"POVM element 1 {NEG}")),
+        (POVM1, "shape", parse(f"povm[1]: {SHAPE}")),
+        (POVM1, "non-number", parse(f"povm[1]: {NOT_NUMERIC}")),
+        (STATE, "non-finite", invariant("state: density operator has non-finite entries")),
+        (STATE, "non-Hermitian",
+         invariant("state: density operator is not Hermitian within 1e-8")),
+        (STATE, "negative", invariant(f"state: state {NEG}")),
+        (STATE, "shape", parse(f"state: {SHAPE}")),
+        (STATE, "non-number", parse(f"state: {NOT_NUMERIC}")),
+        (F, "non-finite", invariant("constraint: constraint operator F has non-finite entries")),
+        (F, "non-Hermitian", invariant("constraint: constraint operator F is not Hermitian")),
+        (F, "negative",
+         invariant("constraint: constraint operator F has eigenvalue below -1e-9")),
+        (F, "shape", parse(f"constraint.F: {SHAPE}")),
+        (F, "non-number", parse(f"constraint.F: {NOT_NUMERIC}")),
+        (MEMBER1, "non-finite",
+         invariant("ensemble: density operator has non-finite entries")),
+        (MEMBER1, "non-Hermitian",
+         invariant("ensemble: density operator is not Hermitian within 1e-8")),
+        (MEMBER1, "negative", invariant(f"ensemble: state {NEG}")),
+        (MEMBER1, "shape", parse(f"ensemble.states[1]: {SHAPE}")),
+        (MEMBER1, "non-number", parse(f"ensemble.states[1]: {NOT_NUMERIC}")),
+    ], ids=case_id)
+    def test_one_bad_matrix(self, tmp_path, capsys, where, kind, want):
+        self.check(tmp_path, capsys, edit(full_spec(), (where, bad(kind))), want)
+
+    @pytest.mark.parametrize("changes, want", [
+        # an invariant fault before a parse fault
+        ([(POVM1, bad("negative")), (STATE, bad("shape"))], invariant(f"POVM element 1 {NEG}")),
+        ([(STATE, bad("non-Hermitian")), (MEMBER0, bad("non-number"))],
+         invariant("state: density operator is not Hermitian within 1e-8")),
+        ([(F, bad("non-finite")), (MEMBER1, bad("shape"))],
+         invariant("constraint: constraint operator F has non-finite entries")),
+        ([(POVM1, bad("negative")), (("constraint",), {"F": mat(np.eye(2))})],
+         invariant(f"POVM element 1 {NEG}")),
+        ([(("constraint", "E"), "x"), (("ensemble", "states"), 5)],
+         invariant("constraint: E must be a number, got 'x'")),
+        ([(("ensemble", "weights"), ["a", 0.5]), (("options",), [1])],
+         invariant("ensemble: weights must be numbers, got ['a', 0.5]")),
+        ([(STATE, bad("negative")), (("options",), [1])], invariant(f"state: state {NEG}")),
+        # a parse fault before an invariant fault
+        ([(("povm", 0), bad("non-number")), (STATE, bad("negative"))],
+         parse(f"povm[0]: {NOT_NUMERIC}")),
+        ([(STATE, bad("shape")), (F, bad("negative"))], parse(f"state: {SHAPE}")),
+        ([(F, bad("non-number")), (MEMBER0, bad("non-finite"))],
+         parse(f"constraint.F: {NOT_NUMERIC}")),
+        ([(STATE, [[1.0, 0.0], [0.0, 0.0]]), (MEMBER1, bad("negative"))],
+         parse('state: expected an object with "re" and "im" arrays')),
+        # two faults in one section: finiteness is checked over all POVM
+        # elements first, ensemble members one by one, the members before
+        # the weights
+        ([(("povm", 0), bad("non-Hermitian")), (POVM1, bad("non-finite"))],
+         invariant("POVM element 1 has non-finite entries")),
+        ([(MEMBER0, bad("negative")), (MEMBER1, bad("non-finite"))],
+         invariant(f"ensemble: state {NEG}")),
+        ([(("ensemble", "weights"), [0.2, 0.2]), (MEMBER1, bad("negative"))],
+         invariant(f"ensemble: state {NEG}")),
+    ], ids=range(14))
+    def test_two_faults(self, tmp_path, capsys, changes, want):
+        self.check(tmp_path, capsys, edit(full_spec(), *changes), want)
+
+    @pytest.mark.parametrize("where, kind, want", [
+        (("povm", 0), "non-Hermitian", invariant("POVM label '0' repeats")),
+        (POVM1, "non-finite", invariant("POVM label '0' repeats")),
+        (POVM1, "negative", invariant("POVM label '0' repeats")),
+        (POVM1, "non-number", parse(f"povm[1]: {NOT_NUMERIC}")),
+    ], ids=case_id)
+    def test_repeated_label_and_bad_element(self, tmp_path, capsys, where, kind, want):
+        spec = edit(full_spec(), (("povm", 1, "label"), "0"), (where, bad(kind)))
+        self.check(tmp_path, capsys, spec, want)
+
+    @pytest.mark.parametrize("where, matrix, want", [
+        (STATE, [[1.0, 1.0], [0.0, 1.0]],
+         invariant("state: density operator is not Hermitian within 1e-8")),
+        (STATE, np.diag([2.0, -0.5]),
+         invariant("state: trace 1.5 deviates from 1 by more than 1e-9")),
+        (STATE, [[math.nan, 0.0], [0.0, 2.0]],
+         invariant("state: density operator has non-finite entries")),
+        (MEMBER0, [[1.0, 1.0], [0.0, 1.0]],
+         invariant("ensemble: density operator is not Hermitian within 1e-8")),
+        (MEMBER0, np.diag([2.0, 0.0]),
+         invariant("ensemble: trace 2.0 deviates from 1 by more than 1e-9")),
+    ])
+    def test_trace_and_hermiticity(self, tmp_path, capsys, where, matrix, want):
+        self.check(tmp_path, capsys, edit(full_spec(), (where, mat(matrix))), want)
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("d, m", [(2, 3), (3, 4), (4, 6)])
+def test_parsed_objects_match_the_public_constructors_bit_for_bit(tmp_path, d, m):
+    rng = np.random.default_rng([41, d])
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    F = g @ g.conj().T
+    members = [random_density(rng, d).matrix for _ in range(3)]
+    spec = {
+        "dim": d,
+        "povm": [{"label": f"o{k}", **mat(e)}
+                 for k, e in enumerate(random_povm(rng, d, m).elements)],
+        "state": mat(random_density(rng, d).matrix),
+        "constraint": {"F": mat(F), "E": 0.25},
+        "ensemble": {"weights": [0.25, 0.5, 0.25], "states": [mat(s) for s in members]},
+    }
+    parsed = parse_spec(write_spec(tmp_path, spec))
+
+    def decoded(obj):
+        return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+
+    povm = FinitePOVM.from_pairs([(e["label"], decoded(e)) for e in spec["povm"]])
+    assert parsed.povm.labels == povm.labels
+    assert bits(parsed.povm.elements) == bits(povm.elements)
+    assert bits(parsed.povm._spectrum) == bits(povm._spectrum)
+    assert bits(parsed.state.matrix) == bits(DensityOperator(decoded(spec["state"])).matrix)
+    assert bits(parsed.constraint.F) == bits(EnergyConstraint(decoded(spec["constraint"]["F"]),
+                                                              0.25).F)
+    assert parsed.constraint.E == 0.25
+    assert bits(parsed.ensemble.weights) == bits(np.array([0.25, 0.5, 0.25]))
+    for got, obj in zip(parsed.ensemble.states, spec["ensemble"]["states"], strict=True):
+        assert bits(got.matrix) == bits(DensityOperator(decoded(obj)).matrix)
 
 
 class TestSubcommands:
