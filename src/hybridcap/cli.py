@@ -5,6 +5,13 @@ two nested row-major real arrays "re" and "im".  Exit codes: 0 ok,
 2 invariant violation, 3 parse error, 4 infeasible energy constraint,
 5 optimizer non-convergence (the result is still printed, flagged).
 
+A spec is decoded and checked in one stacked pass: its POVM elements,
+state, constraint F and ensemble states are read into one array, and one
+batched Hermitian / eigenvalue check covers them all.  The error reported
+is the first one met when the sections are read in the order povm, state,
+constraint, ensemble, options, each parsed and then checked: a parse error
+in a section is reported once every section before it has passed.
+
 Each subcommand takes only the flags it uses: --csv PATH on measure,
 capacity, ea, optics-curves and code-sim; --seed on capacity, ea and
 code-sim, with priority --seed flag > options.seed in the file >
@@ -25,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from . import capacity as cap
-from . import coding, hybrid, optics
+from . import coding, hybrid, optics, qmat
 from .errors import (
     BracketFailure,
     HybridcapError,
@@ -61,9 +68,8 @@ def _numbers(values) -> bool:
     return _NUMBER_TYPES.issuperset(map(type, values))
 
 
-def _matrix_from_json(obj, dim: int, path: str) -> np.ndarray:
-    if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-        _fail_parse(path, 'expected an object with "re" and "im" arrays')
+def _matrix_from_json(obj: dict, dim: int, path: str) -> np.ndarray:
+    """The dim x dim complex matrix of an object with "re" and "im" arrays."""
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
@@ -75,6 +81,29 @@ def _matrix_from_json(obj, dim: int, path: str) -> np.ndarray:
     if not _numbers(chain(*obj["re"], *obj["im"])):
         _fail_parse(path, "re/im entries are not numeric")
     return re + 1j * im
+
+
+def _decode(objs: list, dim: int, paths: list) -> tuple:
+    """(stack, fault): the matrices of objs before the first one that does not
+    decode, as one complex (k, dim, dim) stack, and that one's SpecParseError
+    (None if all decode).  One array build and one number check cover all of
+    them; _matrix_from_json finds and words a fault."""
+    try:
+        a = np.array([(o["re"], o["im"]) for o in objs], dtype=float)
+        # read only once the shape holds: then every re and im is a list of rows
+        lines = chain.from_iterable(o["re"] + o["im"] for o in objs)
+        if a.shape == (len(objs), 2, dim, dim) and _numbers(chain.from_iterable(lines)):
+            return a[:, 0] + 1j * a[:, 1], None
+    except (TypeError, ValueError, OverflowError):
+        pass
+    mats, fault = [], None
+    for obj, path in zip(objs, paths):
+        try:
+            mats.append(_matrix_from_json(obj, dim, path))
+        except SpecParseError as exc:
+            fault = exc
+            break
+    return np.array(mats, dtype=np.complex128).reshape(-1, dim, dim), fault
 
 
 def _matrix_to_json(m: np.ndarray) -> dict:
@@ -117,15 +146,82 @@ class ChannelSpec:
 _SPEC_ERRORS = (ValueError, TypeError, OverflowError, NonHermitianInput, NegativeEigenvalue)
 
 
-def _construct(prefix: str, build):
-    """build(), with a constructor failure (_SPEC_ERRORS) raised as SpecInvariantError."""
+def _construct(prefix: str, build, *args):
+    """build(*args), with a constructor failure (_SPEC_ERRORS) raised as SpecInvariantError."""
     try:
-        return build()
+        return build(*args)
     except _SPEC_ERRORS as exc:
         raise SpecInvariantError(f"{prefix}{exc}") from exc
 
 
+def _sections(raw: dict, dim: int, path: str, objs: list, paths: list):
+    """Walk the sections of a spec in order: povm, state, constraint, ensemble,
+    options.  Append each matrix object to objs and its place to paths; as
+    each section parses, yield (name, prefix, build), where build(stack, rows)
+    checks the section's decoded matrices against their qmat.psd_rows and
+    returns its object, and prefix leads a constructor error's message.
+    Raise SpecParseError at the first structural fault."""
+
+    def take(obj, where):
+        if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
+            _fail_parse(where, 'expected an object with "re" and "im" arrays')
+        objs.append(obj)
+        paths.append(where)
+
+    labels = []
+    for k, entry in enumerate(raw["povm"]):
+        if not isinstance(entry, dict) or "label" not in entry:
+            _fail_parse(path, f'povm[{k}]: expected an object with a "label"')
+        if not isinstance(entry["label"], str):
+            _fail_parse(path, f'povm[{k}]: "label" must be a string')
+        labels.append(entry["label"])
+        take(entry, f"{path}: povm[{k}]")
+    yield "povm", "", lambda stack, rows: hybrid._from_rows(
+        hybrid.FinitePOVM, rows, labels=tuple(labels), elements=stack)
+
+    if "state" in raw:
+        take(raw["state"], f"{path}: state")
+        yield "state", "state: ", lambda stack, rows: hybrid._states_from_rows(stack, rows)[0]
+
+    if "constraint" in raw:
+        c = raw["constraint"]
+        if not isinstance(c, dict) or "F" not in c or "E" not in c:
+            _fail_parse(path, 'constraint: expected an object with "F" and "E"')
+        take(c["F"], f"{path}: constraint.F")
+
+        def constraint(stack, rows):
+            if not _numbers((c["E"],)):
+                raise SpecInvariantError(f"constraint: E must be a number, got {c['E']!r}")
+            return hybrid._from_rows(hybrid.EnergyConstraint, rows, F=stack[0], E=float(c["E"]))
+        yield "constraint", "constraint: ", constraint
+
+    if "ensemble" in raw:
+        e = raw["ensemble"]
+        if not isinstance(e, dict) or "weights" not in e or "states" not in e:
+            _fail_parse(path, 'ensemble: expected an object with "weights" and "states"')
+        if not (isinstance(e["weights"], list) and isinstance(e["states"], list)):
+            _fail_parse(path, 'ensemble: "weights" and "states" must be lists')
+        for k, s in enumerate(e["states"]):
+            take(s, f"{path}: ensemble.states[{k}]")
+
+        def ensemble(stack, rows):
+            w = e["weights"]
+            if not _numbers(w):
+                raise SpecInvariantError(f"ensemble: weights must be numbers, got {w!r}")
+            weights = np.asarray(w, dtype=float)
+            return hybrid.Ensemble(weights, hybrid._states_from_rows(stack, rows))
+        yield "ensemble", "ensemble: ", ensemble
+
+    options = raw.get("options", {})
+    if not isinstance(options, dict):
+        _fail_parse(path, 'field "options" must be an object')
+    yield "options", "", lambda stack, rows: options
+
+
 def parse_spec(path: str) -> ChannelSpec:
+    """The spec file at path, decoded and checked in one stacked pass; each
+    object is built from its slice of the pass.  The fault reported is the
+    one the module docstring's section order meets first."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -140,52 +236,25 @@ def parse_spec(path: str) -> ChannelSpec:
     dim = raw["dim"]
     if "povm" not in raw or not isinstance(raw["povm"], list) or not raw["povm"]:
         _fail_parse(path, 'field "povm" must be a non-empty list')
-    pairs = []
-    for k, entry in enumerate(raw["povm"]):
-        if not isinstance(entry, dict) or "label" not in entry:
-            _fail_parse(path, f'povm[{k}]: expected an object with a "label"')
-        if not isinstance(entry["label"], str):
-            _fail_parse(path, f'povm[{k}]: "label" must be a string')
-        pairs.append((entry["label"], _matrix_from_json(entry, dim, f"{path}: povm[{k}]")))
-    povm = _construct("", lambda: hybrid.FinitePOVM.from_pairs(pairs))
 
-    state = None
-    if "state" in raw:
-        mat = _matrix_from_json(raw["state"], dim, f"{path}: state")
-        state = _construct("state: ", lambda: hybrid.DensityOperator(mat))
-
-    constraint = None
-    if "constraint" in raw:
-        c = raw["constraint"]
-        if not isinstance(c, dict) or "F" not in c or "E" not in c:
-            _fail_parse(path, 'constraint: expected an object with "F" and "E"')
-        fmat = _matrix_from_json(c["F"], dim, f"{path}: constraint.F")
-        if not _numbers((c["E"],)):
-            raise SpecInvariantError(f"constraint: E must be a number, got {c['E']!r}")
-        constraint = _construct(
-            "constraint: ", lambda: hybrid.EnergyConstraint(fmat, float(c["E"])))
-
-    ensemble = None
-    if "ensemble" in raw:
-        e = raw["ensemble"]
-        if not isinstance(e, dict) or "weights" not in e or "states" not in e:
-            _fail_parse(path, 'ensemble: expected an object with "weights" and "states"')
-        if not (isinstance(e["weights"], list) and isinstance(e["states"], list)):
-            _fail_parse(path, 'ensemble: "weights" and "states" must be lists')
-        mats = [
-            _matrix_from_json(s, dim, f"{path}: ensemble.states[{k}]")
-            for k, s in enumerate(e["states"])
-        ]
-        if not _numbers(e["weights"]):
-            raise SpecInvariantError(f"ensemble: weights must be numbers, got {e['weights']!r}")
-        ensemble = _construct("ensemble: ", lambda: hybrid.Ensemble(
-            np.asarray(e["weights"], dtype=float),
-            tuple(hybrid.DensityOperator(m) for m in mats)))
-
-    options = raw.get("options", {})
-    if not isinstance(options, dict):
-        _fail_parse(path, 'field "options" must be an object')
-    return ChannelSpec(povm, state, constraint, ensemble, options)
+    objs, paths, sections, fault = [], [], [], None
+    try:
+        for name, prefix, build in _sections(raw, dim, path, objs, paths):
+            sections.append((name, prefix, build, len(objs)))
+    except SpecParseError as exc:
+        fault = exc
+    stack, bad = _decode(objs, dim, paths)
+    rows = qmat.psd_rows(stack)
+    parts, start = {}, 0
+    for name, prefix, build, stop in sections:
+        if len(stack) < stop:  # a matrix of this section did not decode
+            raise bad
+        parts[name] = _construct(prefix, build, stack[start:stop],
+                                 [a[start:stop] for a in rows])
+        start = stop
+    if bad or fault:
+        raise bad or fault
+    return ChannelSpec(**parts)
 
 
 def _option(opts: dict, key: str, default, integral: bool):

@@ -41,6 +41,60 @@ def _pad(blocks) -> np.ndarray:
     return stack
 
 
+def _bare(cls, **fields):
+    """A cls instance with these fields, made without running __post_init__:
+    for fields that cls's own checks have passed already."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _from_rows(cls, rows, **fields):
+    """A FinitePOVM or EnergyConstraint with these fields, checked by
+    cls.__post_init__(rows).
+
+    Their __post_init__ checks the matrices against rows, the matrices'
+    qmat.psd_rows, computed there unless given.  A caller that has them from
+    one batched pass over many matrices passes its slice, and the checks and
+    their messages stay those of the constructor.
+    """
+    obj = _bare(cls, **fields)
+    obj.__post_init__(rows)
+    return obj
+
+
+def _check_states(stack: np.ndarray, rows=None) -> None:
+    """Check each matrix of a (k, d, d) stack as a density operator; rows
+    are the stack's qmat.psd_rows, computed here unless given.
+
+    The first matrix with a fault raises: a trace off 1 by more than 1e-9,
+    reported only for a finite Hermitian matrix, else the fault
+    qmat.check_psd_stack reports.
+    """
+    finite, hermitian, _, ok = rows = qmat.psd_rows(stack) if rows is None else rows
+    traces = [float(m.trace().real) for m in stack]  # each summed as a lone matrix
+    off = (np.abs(np.subtract(traces, 1.0)) > 1e-9) & finite & hermitian
+    fault = off | ~ok
+    if fault.any():
+        k = fault.argmax()
+        if off[k]:
+            raise ValueError(f"trace {traces[k]} deviates from 1 by more than 1e-9")
+        qmat.check_psd_stack(
+            stack[k:k + 1],
+            "density operator is not Hermitian within 1e-8",
+            "state eigenvalue {w:.3e} below -1e-9",
+            rows=[a[k:k + 1] for a in rows],
+        )
+
+
+def _states_from_rows(stack: np.ndarray, rows) -> tuple:
+    """The DensityOperators of a complex (k, d, d) stack, checked by
+    _check_states against the stack's qmat.psd_rows."""
+    _check_states(stack, rows)
+    return tuple(_bare(DensityOperator, matrix=m) for m in stack)
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Hermitian, PSD, unit-trace complex matrix."""
@@ -49,15 +103,7 @@ class DensityOperator:
 
     def __post_init__(self):
         m = qmat.as_complex_matrix(self.matrix)
-        tr = float(np.real(np.trace(m)))
-        # a non-Hermitian matrix is reported as such before its trace
-        if abs(tr - 1.0) > 1e-9 and qmat.validate_hermitian(m, 1e-8):
-            raise ValueError(f"trace {tr} deviates from 1 by more than 1e-9")
-        qmat.check_psd_stack(
-            m[None],
-            "density operator is not Hermitian within 1e-8",
-            "state eigenvalue {w:.3e} below -1e-9",
-        )
+        _check_states(m[None])
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -72,7 +118,7 @@ class FinitePOVM:
     labels: tuple
     elements: np.ndarray  # shape (m, d, d)
 
-    def __post_init__(self):
+    def __post_init__(self, rows=None):
         elems = np.asarray(self.elements, dtype=np.complex128)
         if elems.ndim != 3 or elems.shape[1] != elems.shape[2] or elems.shape[0] < 1:
             raise ValueError(f"POVM elements must have shape (m, d, d), got {elems.shape}")
@@ -80,16 +126,19 @@ class FinitePOVM:
         if len(labels) != elems.shape[0]:
             raise ValueError("label count does not match element count")
         # decoding keys words by label, so two outcomes may not share one
-        for k, label in enumerate(labels):
-            if label in labels[:k]:
-                raise ValueError(f"POVM label {label!r} repeats")
+        if len(set(labels)) < len(labels):
+            seen = set()
+            # the first label seen before (set.add returns None)
+            label = next(x for x in labels if x in seen or seen.add(x))
+            raise ValueError(f"POVM label {label!r} repeats")
         spectrum = qmat.check_psd_stack(
             elems,
             "POVM element {label} is not Hermitian",
             "POVM element {label} eigenvalue {w:.3e} below -1e-9",
             labels,
+            rows,
         )
-        dev = np.max(np.abs(elems.sum(axis=0) - np.eye(elems.shape[1])))
+        dev = np.abs(elems.sum(axis=0) - np.eye(elems.shape[1])).max()
         if dev > 1e-8:
             raise ValueError(f"povm completeness deviation {dev:.1e} > 1e-8")
         object.__setattr__(self, "labels", labels)
@@ -217,12 +266,13 @@ class EnergyConstraint:
     F: np.ndarray
     E: float
 
-    def __post_init__(self):
+    def __post_init__(self, rows=None):
         f = qmat.as_complex_matrix(self.F)
         qmat.check_psd_stack(
             f[None],
             "constraint operator F is not Hermitian",
             "constraint operator F has eigenvalue below -1e-9",
+            rows=rows,
         )
         if not self.E >= 0.0:  # NaN fails every comparison; +inf is no constraint
             raise ValueError(f"energy bound E must be >= 0, got {self.E}")

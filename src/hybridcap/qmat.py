@@ -3,10 +3,11 @@
 Spectral computations use NumPy's LAPACK routines: :func:`herm_eig` wraps
 ``numpy.linalg.eigh`` for single matrices with the library's Hermitian
 check and error types, and :func:`check_psd_stack` validates a whole stack
-of matrices with one batched ``eigvalsh``.  The entropy paths in
-:mod:`hybridcap.hybrid` call ``eigvalsh`` and ``eigh`` directly on stacks of
-posterior matrices and of zero-padded hybrid-state blocks.  Two calls on
-bit-identical input give bit-identical output.
+of matrices from the rows of one batched ``eigvalsh`` (:func:`psd_rows`),
+which the spec reader computes once for all the matrices of a spec.  The
+entropy paths in :mod:`hybridcap.hybrid` call ``eigvalsh`` and ``eigh``
+directly on stacks of posterior matrices and of zero-padded hybrid-state
+blocks.  Two calls on bit-identical input give bit-identical output.
 
 Complex entries are numpy ``complex128``, i.e. explicit (re, im) pairs of
 IEEE-754 doubles.
@@ -69,35 +70,50 @@ def herm_eig(a) -> HermEigResult:
     return HermEigResult(w, V)
 
 
-def check_psd_stack(stack, not_hermitian: str, negative: str, labels=("",)) -> np.ndarray:
-    """Validate a (k, d, d) stack expected Hermitian PSD; return its (k, d) spectra, ascending.
+def psd_rows(stack) -> tuple:
+    """(finite, hermitian, spectra, ok) of each matrix of a (k, d, d) stack.
 
-    The first matrix with a NaN or infinite entry raises ValueError, naming
-    the matrix as ``not_hermitian`` does before " is not Hermitian".  Then
-    each matrix must be Hermitian within 1e-8 and have no eigenvalue below
-    PSD_FLOOR; one batched ``eigvalsh`` covers the stack.  The first failing
-    matrix raises NonHermitianInput(``not_hermitian``) or
-    NegativeEigenvalue(``negative``), formatted with its ``label`` (entry of
-    ``labels``) and least eigenvalue ``w``.
+    finite: no NaN or infinite entry; hermitian: max|A - A†| <= 1e-8;
+    spectra: the (k, d) ascending eigenvalues of (A + A†)/2 from one batched
+    ``eigvalsh``, those of the zero matrix for a non-finite A; ok: finite,
+    Hermitian and no eigenvalue below PSD_FLOOR (nor NaN).
     """
     stack = np.asarray(stack, dtype=np.complex128)
-    if not np.isfinite(stack).all():
-        k = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))[0]
-        name = not_hermitian.split(" is not Hermitian")[0].format(label=labels[k])
-        raise ValueError(f"{name} has non-finite entries")
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        stack = np.where(finite[:, None, None], stack, 0.0)
     # halved first (exact for normal floats), so neither the Hermitian test
     # nor the symmetrized sum can overflow for finite entries
     half, adj = stack / 2.0, stack.conj().transpose(0, 2, 1) / 2.0
     hermitian = np.abs(half - adj).max(axis=(1, 2)) <= 0.5e-8
     w = np.linalg.eigvalsh(half + adj)
-    # a NaN eigenvalue is a fault too
-    fault = np.flatnonzero(~hermitian | ~(w[:, 0] >= PSD_FLOOR))
-    if fault.size:
-        k = fault[0]
-        if not hermitian[k]:
-            raise NonHermitianInput(not_hermitian.format(label=labels[k]))
-        raise NegativeEigenvalue(negative.format(label=labels[k], w=w[k, 0]))
-    return w
+    return finite, hermitian, w, finite & hermitian & (w[:, 0] >= PSD_FLOOR)
+
+
+def check_psd_stack(stack, not_hermitian: str, negative: str, labels=("",),
+                    rows=None) -> np.ndarray:
+    """Validate a (k, d, d) stack expected Hermitian PSD; return its (k, d) spectra, ascending.
+
+    The first matrix with a NaN or infinite entry raises ValueError, naming
+    the matrix as ``not_hermitian`` does before " is not Hermitian".  Then
+    each matrix must be Hermitian within 1e-8 and have no eigenvalue below
+    PSD_FLOOR.  The first failing matrix raises
+    NonHermitianInput(``not_hermitian``) or NegativeEigenvalue(``negative``),
+    formatted with its ``label`` (entry of ``labels``) and least eigenvalue
+    ``w``.  ``rows`` are the stack's :func:`psd_rows` if already computed;
+    the stack itself is then not read.
+    """
+    finite, hermitian, w, ok = psd_rows(stack) if rows is None else rows
+    if ok.all():
+        return w
+    if not finite.all():
+        k = finite.argmin()  # the first False
+        name = not_hermitian.split(" is not Hermitian")[0].format(label=labels[k])
+        raise ValueError(f"{name} has non-finite entries")
+    k = ok.argmin()
+    if not hermitian[k]:
+        raise NonHermitianInput(not_hermitian.format(label=labels[k]))
+    raise NegativeEigenvalue(negative.format(label=labels[k], w=w[k, 0]))
 
 
 def matrix_sqrt_psd(a) -> np.ndarray:

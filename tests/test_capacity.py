@@ -106,6 +106,22 @@ class TestGibbsState:
         with pytest.raises(ValueError, match="energy E must be a number, got nan"):
             gibbs_state(np.diag([0.0, 1.0]), math.nan)
 
+    def test_root_falls_through_to_the_last_bracket_midpoint(self):
+        # a step at beta = 0.3 never comes within tol of E: all 200 bisection
+        # steps run, and the midpoint of the last bracket is returned
+        betas = []
+
+        def energy(beta):
+            betas.append(beta)
+            return 2.0 if beta < 0.3 else 0.0
+
+        root = capacity._decreasing_root(energy, 1.0, 1e-9)
+        assert len(betas) == 1 + 200  # energy(hi = 1) ends the doubling at once
+        lo = max([0.0] + [b for b in betas[1:] if b < 0.3])
+        hi = min([1.0] + [b for b in betas[1:] if b >= 0.3])
+        assert root == 0.5 * (lo + hi)
+        assert lo < 0.3 <= hi and hi - lo <= 1e-16
+
     def test_energy_a_hair_above_ground_raises_bracket_failure(self):
         # E - f0 = 1e-26 > 0 skips the boundary branch but needs beta beyond 2^60
         with pytest.raises(BracketFailure, match="2\\^60"):

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -527,6 +528,25 @@ class TestValidation:
         with pytest.raises(exc) as info:
             build()
         assert str(info.value) == msg
+
+    @pytest.mark.parametrize("labels, msg", [
+        ([str(k) for k in range(20_000)], None),
+        ([str(k) for k in range(19_999)] + ["7"], "POVM label '7' repeats"),
+        (["a", "b", "b", "a"], "POVM label 'b' repeats"),
+    ], ids=["20000 distinct", "repeat at the end", "first repeat"])
+    def test_repeated_label_check_is_linear(self, labels, msg):
+        # each label used to be compared with all before it: about 4 s at
+        # 20 000 labels, now about 0.01 s
+        m = len(labels)
+        elements = np.full((m, 1, 1), 1.0 / m)
+        t0 = time.perf_counter()
+        if msg is None:
+            assert FinitePOVM(tuple(labels), elements).labels == tuple(labels)
+        else:
+            with pytest.raises(ValueError) as info:
+                FinitePOVM(tuple(labels), elements)
+            assert str(info.value) == msg
+        assert time.perf_counter() - t0 < 1.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("build, msg", [
