@@ -273,6 +273,24 @@ class TestBaFixedPoint:
         for r in range(len(W)):
             assert np.array_equal(capped[r], _ba_fixed_point(W[r:r + 1], P[r:r + 1], steps=1)[0])
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_row_rel_stops_at_its_bracket(self, seed):
+        # rows of one stack with different rel: each stops at its own bracket
+        # and gets the bits of a one-row solve with its rel
+        rng = np.random.default_rng([30, seed])
+        P = rng.dirichlet(np.full(4, 0.5), size=(6, 5))
+        W = rng.dirichlet(np.ones(5), size=6)
+        rel = np.array([0.0, 1e-6, 1e-3, 1e-2, 0.1, 0.5])
+        fixed = _ba_fixed_point(W, P, rel=rel)
+        assert np.all(_brackets(fixed, P) <= np.maximum(1e-12, rel * _brackets(W, P)))
+        for r in range(len(W)):
+            assert np.array_equal(fixed[r], _ba_fixed_point(W[r:r + 1], P[r:r + 1],
+                                                            rel=rel[r])[0])
+        assert np.array_equal(fixed[0], _ba_fixed_point(W, P)[0])
+        assert np.array_equal(_ba_fixed_point(W, P, rel=np.zeros(6)), _ba_fixed_point(W, P))
+        # the bracket is measured at the row's first iteration: rel 1 stops there
+        assert np.array_equal(_ba_fixed_point(W, P, rel=1.0), W)
+
 
 class TestClassicalCapacity:
     def test_constant_channel(self):
@@ -373,6 +391,55 @@ class TestClassicalCapacity:
                 weights.append(0.5 * lam)
         split = Ensemble(np.array(weights) / sum(weights), tuple(members))
         assert mutual_information(split, M) >= mutual_information(ens, M) - 1e-9
+
+
+class TestCertifiedPrior:
+    """The rounds solve loosely; the returned prior is certified for the returned states."""
+
+    CASES = [(kind, constrained, restarts)
+             for kind in ("random", "rank-1", "commuting")
+             for constrained in (False, True) for restarts in (1, 3)]
+
+    @staticmethod
+    def channel(k, kind, constrained):
+        rng = np.random.default_rng([61, k])
+        d = int(rng.integers(2, 5))
+        m = int(rng.integers(d, 6))
+        if kind == "random":
+            M = random_povm(rng, d, m)
+        elif kind == "rank-1":
+            M = random_rank1_povm(rng, d, m)
+        else:
+            W = rng.dirichlet(np.full(m, 0.7), size=d)
+            M = FinitePOVM(tuple(str(j) for j in range(m)),
+                           np.stack([np.diag(W[:, j]) for j in range(m)]).astype(complex))
+        c = EnergyConstraint(np.diag(np.arange(d, dtype=float)), 0.3 * (d - 1)) \
+            if constrained else None
+        return M, c
+
+    @staticmethod
+    def bracket(res, M):
+        """max_x D(P_x‖p̄) − I in bits, from the returned states and weights."""
+        w = res.argmax.weights
+        P = np.array([[np.real(np.trace(s.matrix @ e)) for e in M.elements]
+                      for s in res.argmax.states]).clip(0.0)
+        pbar = w @ P
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(P > 1e-12, P * np.log2(P / pbar), 0.0)
+        D = terms.sum(axis=1)
+        return D.max() - w @ D
+
+    @pytest.mark.parametrize("k", range(len(CASES)))
+    def test_returned_prior_certified(self, k):
+        kind, constrained, restarts = self.CASES[k]
+        M, c = self.channel(k, kind, constrained)
+        iterations = 2 if k == 0 else 60
+        res = classical_capacity(M, c, OptimizerConfig(seed=k, restarts=restarts,
+                                                       max_iterations=iterations))
+        if k == 0:
+            assert not res.converged  # stopped by max_iterations
+        assert self.bracket(res, M) <= 1e-12
+        assert abs(res.value_bits - max(res.restart_values)) <= 1e-12
 
 
 class TestEaCapacity:
@@ -645,6 +712,42 @@ class TestTopFeasible:
         out = _top_feasible(G, F, E, eig)
         for k in range(len(G)):
             assert np.array_equal(out[k], _top_feasible(G[k:k + 1], F, E, eig)[0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tolerance_per_row(self, seed):
+        # rows of one stack with different tol: unit, feasible, within their
+        # tol of the dual bound, and the bits of one-row calls
+        rng = np.random.default_rng([49, seed])
+        d = int(rng.integers(2, 5))
+        F, E, eig = self.constraint(rng, d)
+        G = np.stack([_hermitian(rng, d) for _ in range(6)])
+        tol = np.array([0.0, 1e-9, 1e-6, 1e-3, 1e-2, 0.1])
+        out = _top_feasible(G, F, E, eig, tol)
+        for k, (g, psi) in enumerate(zip(G, out)):
+            assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+            assert self.value(psi, F) <= E + 1e-12
+            assert abs(self.value(psi, g) - _dual_bound(g, F, E)) <= tol[k] + 1e-9
+            assert np.array_equal(psi, _top_feasible(G[k:k + 1], F, E, eig, tol[k:k + 1])[0])
+        assert np.array_equal(out[0], _top_feasible(G, F, E, eig)[0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tolerance_of_the_spread_stops_after_one_step(self, seed, monkeypatch):
+        # after one step the gap is at most λ_max(G) − λ_min(G), so rows with
+        # a tol above that take the first eigh and one more
+        rng = np.random.default_rng([50, seed])
+        d = int(rng.integers(2, 5))
+        F, E, eig = self.constraint(rng, d)
+        G = np.stack([_hermitian(rng, d) for _ in range(6)])
+        lam = np.linalg.eigvalsh(G)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        tol = 2.0 * (lam[:, -1] - lam[:, 0])
+        out = _top_feasible(G, F, E, eig, tol)
+        assert len(calls) == 2
+        for g, psi, t in zip(G, out, tol):
+            assert self.value(psi, F) <= E + 1e-12
+            assert self.value(psi, g) >= _dual_bound(g, F, E) - t
 
 
 class TestIsPurePovm:
