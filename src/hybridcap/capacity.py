@@ -495,8 +495,8 @@ def classical_capacity(
             take = D_pool[r, k] > divergence(P_step[r, x], log_pbar[r, 0])
             r, x, k = r[take], x[take], k[take]
             step[r, x], P_step[r, x] = pool[k], pool_P[k]
-        # only rounding and the clipped logs can make the step lower I; a
-        # restart whose I it would lower keeps its states
+        # only rounding, the clipped logs and the early stop of _top_feasible
+        # can make the step lower I; a restart whose I it would lower keeps its states
         up = (mutual_informations(w, P_step) >= value)[:, None, None]
         psis, P = np.where(up, step, psis), np.where(up, P_step, P)
         # the solve counts an outcome of p̄ <= 1e-12 as 0, so a member of weight 0 giving
