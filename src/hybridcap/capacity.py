@@ -51,7 +51,6 @@ from .hybrid import (
     Ensemble,
     FinitePOVM,
     entropy_of_spectrum,
-    outcome_probs,
 )
 
 _LN2 = math.log(2.0)
@@ -194,8 +193,7 @@ def _gibbs(eig: qmat.HermEigResult, E: float) -> GibbsSolution:
 
 def ba_prior_step(pi: Ensemble, M: FinitePOVM) -> Ensemble:
     """Blahut–Arimoto prior update π'_x ∝ π_x 2^{D(p(·|x)‖p̄)}."""
-    P = np.stack([outcome_probs(s.matrix, M) for s in pi.states])
-    P[P < 0.0] = 0.0
+    P = hybrid._outcome_rows(pi.states, M)
     logw = np.log2(np.maximum(pi.weights, 1e-300)) + hybrid._divergences(pi.weights, P)
     nw = np.exp2(logw - logw.max())
     nw /= nw.sum()

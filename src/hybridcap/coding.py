@@ -6,7 +6,10 @@ breaking; the erasure cell (message index 0) is kept in the partition
 format but is never used by ML.
 
 Outcome words are (count, n) arrays of outcome indices, sampled by inverse
-CDF.  Monte Carlo ``average_error`` draws from one ``default_rng(seed)``;
+CDF.  Label tuples appear only where a word meets a ``DecoderPartition``:
+``itertools.product`` of the labels where every word is enumerated, a
+lookup per distinct word where words are sampled.  Monte Carlo
+``average_error`` draws from one ``default_rng(seed)``;
 ``rate_experiment`` draws every codebook at block length n from one
 ``default_rng([seed, n])``, codebook after codebook: its codewords (by
 inverse CDF of the weights, the same numbers ``Generator.choice`` gave),
@@ -22,11 +25,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import DimensionMismatch, EnumerationTooLarge
-from .hybrid import Ensemble, FinitePOVM, _check_dims, measure, outcome_probs
+from .hybrid import Ensemble, FinitePOVM, _check_dims, _outcome_rows, measure
 
 # exact enumeration guard: n * log2(m) <= 20, i.e. at most ~1e6 outcome words
 _ENUM_BITS = 20
@@ -80,11 +84,7 @@ def codeword_distribution(codeword, M: FinitePOVM):
 
 def _slot_probs(book: Codebook, M: FinitePOVM) -> np.ndarray:
     """(N, n, m) conditional outcome probabilities of every codeword slot."""
-    _check_dims(book.codewords[0][0].dim, M.dim)
-    # per slot: one batched einsum rounds differently and would flip exact ML ties
-    P = np.array([[outcome_probs(s.matrix, M) for s in w] for w in book.codewords])
-    P[P < 0.0] = 0.0
-    return P
+    return _outcome_rows([s for w in book.codewords for s in w], M).reshape(book.N, book.n, -1)
 
 
 def _all_words(n: int, m: int) -> np.ndarray:
@@ -104,12 +104,6 @@ def _word_likelihoods(P: np.ndarray, words: np.ndarray) -> np.ndarray:
     for t in range(1, P.shape[1]):
         lik *= P[:, t, words[:, t]]
     return lik
-
-
-def _label_words(M: FinitePOVM, words: np.ndarray):
-    """Label tuples of (count, n) outcome index words, made 4096 words at a time."""
-    labels = np.array(M.labels, dtype=object)
-    return (w for k in range(0, len(words), 4096) for w in map(tuple, labels[words[k:k + 4096]]))
 
 
 def _sample_words(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -136,7 +130,7 @@ def ml_partition(book: Codebook, M: FinitePOVM) -> DecoderPartition:
     """
     words = _all_words(book.n, M.size)
     winners = np.argmax(_word_likelihoods(_slot_probs(book, M), words), axis=0) + 1
-    return DecoderPartition(dict(zip(_label_words(M, words), winners.tolist())))
+    return DecoderPartition(dict(zip(product(M.labels, repeat=book.n), winners.tolist())))
 
 
 def average_error(book: Codebook, part: DecoderPartition, M: FinitePOVM,
@@ -158,13 +152,14 @@ def average_error(book: Codebook, part: DecoderPartition, M: FinitePOVM,
         key = (words @ M.size ** np.arange(book.n) if book.n * math.log2(M.size) < 63
                else np.arange(trials))
         _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-        decoded = np.array([part.decode(w) for w in _label_words(M, words[first])], dtype=int)[inv]
+        decoded = np.array([part.decode(tuple([M.labels[k] for k in w]))
+                            for w in words[first].tolist()], dtype=int)[inv]
         est = int(np.count_nonzero(decoded != j + 1)) / trials
         return est, 1.96 * math.sqrt(est * (1.0 - est) / trials)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     words = _all_words(book.n, M.size)
-    decoded = np.array([part.decode(w) for w in _label_words(M, words)], dtype=int)
+    decoded = np.array([part.decode(w) for w in product(M.labels, repeat=book.n)], dtype=int)
     # erasures (0) and indices above N decode to no codeword: errors
     ok = np.flatnonzero((decoded >= 1) & (decoded <= book.N))
     lik = _word_likelihoods(P, words)
@@ -197,8 +192,7 @@ def rate_experiment(M: FinitePOVM, ensemble: Ensemble, R: float, n_list,
         if n * R > _ENUM_BITS:
             raise ValueError(f"block length {n} at rate {R} needs 2^{n * R:g} codewords, "
                              f"more than the 2^{_ENUM_BITS} limit")
-    member_rows = np.stack([outcome_probs(s.matrix, M) for s in ensemble.states])
-    member_rows[member_rows < 0.0] = 0.0
+    member_rows = _outcome_rows(ensemble.states, M)
     member_rows /= member_rows.sum(axis=1, keepdims=True)
     row_cdf = member_rows.cumsum(axis=1)
     with np.errstate(divide="ignore"):

@@ -294,6 +294,15 @@ def outcome_probs(matrix: np.ndarray, M: FinitePOVM) -> np.ndarray:
     return np.real(np.einsum("kij,ji->k", M.elements, matrix))
 
 
+def _outcome_rows(states, M: FinitePOVM) -> np.ndarray:
+    """(k, m) rows P_xy = Tr S_x M_y of k same-dimension states, clipped at 0.  One
+    outcome_probs per state: a batched einsum rounds differently and flips exact ML ties."""
+    _check_dims(states[0].dim, M.dim)
+    P = np.stack([outcome_probs(s.matrix, M) for s in states])
+    P[P < 0.0] = 0.0
+    return P
+
+
 def measure(S: DensityOperator, M: FinitePOVM) -> OutcomeDistribution:
     """Outcome distribution p(ω) = Tr S M(ω) of observable M in state S."""
     _check_dims(S.dim, M.dim)
@@ -409,10 +418,7 @@ def hybrid_relative_entropy(S1: HybridState, S2: HybridState) -> float:
 
 def mutual_information(pi: Ensemble, M: FinitePOVM) -> float:
     """Shannon information I(π, M) between input label and measurement outcome."""
-    _check_dims(pi.dim, M.dim)
-    P = np.stack([outcome_probs(s.matrix, M) for s in pi.states])
-    P[P < 0.0] = 0.0
-    return mutual_information_from_rows(pi.weights, P)
+    return mutual_information_from_rows(pi.weights, _outcome_rows(pi.states, M))
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

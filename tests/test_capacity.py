@@ -162,6 +162,11 @@ class TestBaPriorStep:
             assert cur >= prev - 1e-12
             prev = cur
 
+    def test_dimension_mismatch(self):
+        ens = Ensemble([0.5, 0.5], (ket(3, 0), ket(3, 1)))
+        with pytest.raises(DimensionMismatch, match="dimension mismatch: 3 vs 2"):
+            ba_prior_step(ens, z_povm())
+
 
 def _plain_ba(w, P, steps=300):
     """One row's plain Blahut–Arimoto update w ← w·2^{D − max D}/Σ, ``steps`` times."""

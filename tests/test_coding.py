@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -66,6 +67,17 @@ def per_book_rate_experiment(M, ensemble, R, n_list, trials, seed):
 def binary_book(n, states=None):
     s0, s1 = states if states else (ket(2, 0), ket(2, 1))
     return Codebook(((s0,) * n, (s1,) * n))
+
+
+@dataclass(frozen=True)
+class CountingPartition(DecoderPartition):
+    """A partition that records every word it decodes, in order."""
+
+    calls: list = field(default_factory=list)
+
+    def decode(self, word):
+        self.calls.append(tuple(word))
+        return super().decode(word)
 
 
 class TestCodewordDistribution:
@@ -163,6 +175,14 @@ class TestMlPartition:
             tracemalloc.stop()
         assert len(part.assignment) == 2**16
         assert peak < 20e6
+
+    def test_keys_in_lexicographic_order_of_unsorted_labels(self):
+        rng = np.random.default_rng(3)
+        M = FinitePOVM(("b", "a", "c"), random_povm(rng, 2, 3).elements)
+        book = Codebook(tuple(tuple(random_density(rng, 2) for _ in range(3))
+                              for _ in range(2)))
+        assert list(ml_partition(book, M).assignment) == list(
+            itertools.product(("b", "a", "c"), repeat=3))
 
 
 class TestAverageError:
@@ -283,18 +303,18 @@ class TestAverageError:
         assert est == errors / trials
 
     def test_monte_carlo_decodes_each_distinct_word_once(self):
-        calls = []
-
-        class CountingPartition(DecoderPartition):
-            def decode(self, word):
-                calls.append(tuple(word))
-                return super().decode(word)
-
         book = binary_book(3)
         M = bsc_povm(0.75)
         part = CountingPartition(ml_partition(book, M).assignment)
         average_error(book, part, M, mode="monte_carlo", trials=1000, seed=2)
-        assert len(calls) == len(set(calls)) <= 2**3
+        assert len(part.calls) == len(set(part.calls)) <= 2**3
+
+    def test_exact_decodes_every_word_once_in_order(self):
+        M = FinitePOVM(("b", "a", "c"), three_outcome_povm().elements)
+        book = Codebook(((ket(2, 0), ket(2, 1)), (ket(2, 1), ket(2, 0))))
+        part = CountingPartition(ml_partition(book, M).assignment)
+        average_error(book, part, M)
+        assert part.calls == list(itertools.product(("b", "a", "c"), repeat=2))
 
     def test_relabeling_invariance(self):
         M = bsc_povm(0.75)
