@@ -13,10 +13,10 @@ constraint, ensemble, options, each parsed and then checked: a parse error
 in a section is reported once every section before it has passed.
 
 Each subcommand takes only the flags it uses: --csv PATH on measure,
-capacity, ea, optics-curves and code-sim; --seed on capacity, ea and
-code-sim, with priority --seed flag > options.seed in the file >
-HYBRIDCAP_SEED environment variable > 0; --restarts and --tol on capacity
-and ea.  On any other subcommand these flags are a usage error (exit 2).
+capacity, ea, optics-curves and code-sim; --seed on capacity and code-sim,
+with priority --seed flag > options.seed in the file > HYBRIDCAP_SEED
+environment variable > 0; --restarts on capacity; --tol on capacity and
+ea.  On any other subcommand these flags are a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -285,13 +285,8 @@ def _resolve_seed(args, spec: ChannelSpec) -> int:
     return 0
 
 
-def _resolve_config(args, spec: ChannelSpec) -> cap.OptimizerConfig:
-    opts = spec.options
-    restarts = args.restarts if args.restarts is not None else _option(opts, "restarts", 8, True)
-    tol = args.tol if args.tol is not None else _option(opts, "tol", 1e-7, False)
-    return cap.OptimizerConfig(
-        seed=_resolve_seed(args, spec), restarts=restarts, value_tolerance=tol
-    )
+def _resolve_tol(args, spec: ChannelSpec) -> float:
+    return args.tol if args.tol is not None else _option(spec.options, "tol", 1e-7, False)
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -366,7 +361,10 @@ def _finish_capacity(args, result: cap.CapacityResult) -> int:
 
 
 def cmd_capacity(args, spec: ChannelSpec) -> int:
-    cfg = _resolve_config(args, spec)
+    opts = spec.options
+    restarts = args.restarts if args.restarts is not None else _option(opts, "restarts", 8, True)
+    cfg = cap.OptimizerConfig(restarts=restarts, value_tolerance=_resolve_tol(args, spec),
+                              seed=_resolve_seed(args, spec))
     result = cap.classical_capacity(spec.povm, spec.constraint, cfg)
     print(f"C = {result.value_bits:.6f} bits")
     print(f"ensemble size: {len(result.argmax.states)}; "
@@ -375,7 +373,7 @@ def cmd_capacity(args, spec: ChannelSpec) -> int:
 
 
 def cmd_ea(args, spec: ChannelSpec) -> int:
-    cfg = _resolve_config(args, spec)
+    cfg = cap.OptimizerConfig(value_tolerance=_resolve_tol(args, spec))
     result = cap.ea_capacity(spec.povm, spec.constraint, cfg)
     print(f"C_ea = {result.value_bits:.6f} bits")
     # only the rank-1 Gibbs path takes zero steps: the ascent takes at least
@@ -460,9 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outcome", type=int, required=True)
     on_spec("er", "entropy reduction of the state", cmd_er, "state")
     on_spec("mi", "mutual information of the ensemble", cmd_mi, "ensemble")
-    optimizer = ("--csv", "--seed", "--restarts", "--tol")
-    on_spec("capacity", "classical capacity", cmd_capacity, "povm", *optimizer)
-    on_spec("ea", "entanglement-assisted capacity", cmd_ea, "povm", *optimizer)
+    on_spec("capacity", "classical capacity", cmd_capacity, "povm",
+            "--csv", "--seed", "--restarts", "--tol")
+    on_spec("ea", "entanglement-assisted capacity", cmd_ea, "povm", "--csv", "--tol")
     on_spec("gibbs", "max-entropy state at the constraint energy", cmd_gibbs, "constraint")
 
     p = sub.add_parser("optics-curves", help="oscillator capacity curve table")

@@ -627,7 +627,7 @@ class TestSubcommands:
         assert captured.err == ("invariant violation: seed must be a non-negative integer, "
                                 "got -1\n")
 
-    @pytest.mark.parametrize("command", ["capacity", "ea"])
+    @pytest.mark.parametrize("command", ["capacity"])
     def test_negative_seed_exit_2(self, full_file, capsys, command):
         assert main([command, full_file, "--seed", "-1"]) == 2
         captured = capsys.readouterr()
@@ -675,6 +675,7 @@ class TestFlags:
         ["mi", "--csv", "x.csv"], ["gibbs", "--csv", "x.csv"], ["measure", "--seed", "1"],
         ["posterior", "--outcome", "0", "--seed", "1"], ["er", "--seed", "1"],
         ["mi", "--seed", "1"], ["gibbs", "--seed", "1"],
+        ["ea", "--csv", "x.csv", "--seed", "-1"], ["ea", "--csv", "x.csv", "--restarts", "0"],
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_unused_flag_is_a_usage_error(self, full_file, tmp_path, monkeypatch, capsys,
                                           argv):
@@ -743,6 +744,20 @@ class TestSeedsAndDeterminism:
         path = a.stdout.splitlines()[1]
         assert path.startswith("path: concave ascent; steps: ")
         assert path.endswith("; converged: True")
+
+    @pytest.mark.parametrize("env, options", [
+        ("abc", {}), (None, {"seed": "x"}), (None, {"restarts": "x"}),
+    ], ids=["env seed", "options.seed", "options.restarts"])
+    def test_ea_ignores_seed_and_restarts(self, tmp_path, capsys, monkeypatch, env, options):
+        # ea draws no random numbers, so it reads no seed and no restart count
+        monkeypatch.delenv("HYBRIDCAP_SEED", raising=False)
+        spec = ascent_spec()
+        assert main(["ea", write_spec(tmp_path, spec)]) == 0
+        expected = capsys.readouterr()
+        if env is not None:
+            monkeypatch.setenv("HYBRIDCAP_SEED", env)
+        assert main(["ea", write_spec(tmp_path, {**spec, "options": options}, "bad.json")]) == 0
+        assert capsys.readouterr() == expected
 
     def test_flag_beats_env(self, full_file, capsys, monkeypatch):
         monkeypatch.setenv("HYBRIDCAP_SEED", "11")
